@@ -14,9 +14,9 @@
 use archytas_bench::{banner, print_table};
 use archytas_core::{AdaptiveIterPolicy, GatingTable, IterCounter, IterPolicy, ITER_CAP};
 use archytas_dataset::{kitti_sequences, PipelineConfig, VioPipeline};
-use archytas_hw::{f32_linear_solver, AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
+use archytas_hw::{AcceleratorModel, FpgaPlatform, PowerModel, HIGH_PERF};
 use archytas_mdfg::ProblemShape;
-use archytas_slam::TrajectoryMetrics;
+use archytas_slam::{SolverWorkspace, TrajectoryMetrics};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Policy {
@@ -42,6 +42,7 @@ fn run(policy: Policy) -> (f64, f64, f64) {
     let mut adaptive = AdaptiveIterPolicy::default();
 
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
+    let mut workspace = SolverWorkspace::new();
     let mut metrics = TrajectoryMetrics::new();
     let mut energy = 0.0;
     let mut iter_sum = 0usize;
@@ -57,7 +58,7 @@ fn run(policy: Policy) -> (f64, f64, f64) {
             Policy::ProfiledLut => counter.observe(lut.iterations_for(features)),
             Policy::Adaptive => adaptive.iterations_for(features),
         };
-        let result = pipeline.optimize_and_slide_with(iterations, &f32_linear_solver);
+        let result = pipeline.optimize_and_slide_f32_in(&mut workspace, iterations);
         if policy == Policy::Adaptive {
             adaptive.observe(features, &result.report);
         }

@@ -10,9 +10,9 @@
 use crate::runtime::{IterationProfile, RuntimeSystem, ITER_CAP};
 use archytas_baselines::CpuPlatform;
 use archytas_dataset::{DegradationCause, HealthState, PipelineConfig, SequenceData, VioPipeline};
-use archytas_hw::{f32_linear_solver, AcceleratorModel};
+use archytas_hw::AcceleratorModel;
 use archytas_mdfg::ProblemShape;
-use archytas_slam::{relative_error, schur_linear_solver, Pose, TrajectoryMetrics};
+use archytas_slam::{relative_error, Pose, SolverWorkspace, TrajectoryMetrics};
 
 /// Who executes the per-window optimization.
 ///
@@ -156,6 +156,7 @@ impl RunSummary {
 /// Runs one sequence end-to-end under the given executor.
 pub fn run_sequence(data: &SequenceData, executor: &mut Executor) -> RunSummary {
     let mut pipeline = VioPipeline::new(PipelineConfig::default());
+    let mut workspace = SolverWorkspace::new();
     let mut records = Vec::new();
     let mut metrics = TrajectoryMetrics::new();
     let mut total_time = 0.0;
@@ -191,9 +192,9 @@ pub fn run_sequence(data: &SequenceData, executor: &mut Executor) -> RunSummary 
         };
 
         let result = if is_accel {
-            pipeline.optimize_and_slide_with(iterations, &f32_linear_solver)
+            pipeline.optimize_and_slide_f32_in(&mut workspace, iterations)
         } else {
-            pipeline.optimize_and_slide_with(iterations, &schur_linear_solver)
+            pipeline.optimize_and_slide_in(&mut workspace, iterations)
         };
 
         let shape = ProblemShape::from_workload(&result.workload);

@@ -1,15 +1,20 @@
 //! Functional model of the accelerator datapath.
 //!
 //! The generated FPGA designs compute in single precision; the host software
-//! computes in double. This module reproduces the accelerator's numerics by
-//! running the linear-solve portion of each LM iteration — the part mapped
-//! onto the fabric (Fig. 5) — through the same D-type Schur → Cholesky →
-//! substitution pipeline *in `f32`*. Plugging it into the LM loop yields the
-//! end-to-end estimate the accelerator would produce, which is how the
-//! dynamic-optimization accuracy claims (Sec. 7.6) are checked.
+//! computes in double. The accelerator's numerics — the linear-solve portion
+//! of each LM iteration, the part mapped onto the fabric (Fig. 5), run
+//! through the D-type Schur → Cholesky → substitution pipeline *in `f32`* —
+//! are served by [`archytas_slam::solve_f32_in_workspace`], which casts the
+//! block-sparse normal equations to f32 and eliminates them on the block
+//! structure, never building a dense `A`. That is the estimate the
+//! accelerator would produce, and how the dynamic-optimization accuracy
+//! claims (Sec. 7.6) are checked.
+//!
+//! [`f32_linear_solver`] is the same datapath on a *dense* `A`: the oracle
+//! the served block path is proven bit-identical to (plug it into
+//! [`archytas_slam::solve_with_in_workspace`]). No served path calls it.
 
 use archytas_math::{BlockSpec, Cholesky, DMat, DVec, FMat, FVec, SchurSystem};
-use archytas_slam::{solve_with, FactorWeights, LmConfig, Prior, SlidingWindow, SolveReport};
 use std::cell::RefCell;
 
 thread_local! {
@@ -21,9 +26,12 @@ thread_local! {
         RefCell::new((FMat::zeros(0, 0), FVec::zeros(0)));
 }
 
-/// Solves the damped normal equations in the accelerator's single-precision
-/// datapath. Returns `None` when the f32 factorization fails (the LM loop
-/// raises λ, exactly as on the FPGA).
+/// Solves the damped dense normal equations in the accelerator's
+/// single-precision datapath. Returns `None` when the f32 factorization
+/// fails or its increment is not finite (the LM loop raises λ, exactly as on
+/// the FPGA).
+///
+/// The dense f32 oracle of the served block path (see the module docs).
 pub fn f32_linear_solver(a: &DMat, b: &DVec, num_landmarks: usize) -> Option<DVec> {
     F32_STAGE.with(|stage| {
         let (a32, b32) = &mut *stage.borrow_mut();
@@ -47,22 +55,12 @@ fn f32_solve_staged(a32: &FMat, b32: &FVec, num_landmarks: usize) -> Option<DVec
     Some(x32.cast())
 }
 
-/// Runs the full LM optimization with the accelerator's f32 linear solver —
-/// the functional model of one window's execution on the generated design.
-pub fn accelerated_solve(
-    window: &mut SlidingWindow,
-    weights: &FactorWeights,
-    prior: Option<&Prior>,
-    config: &LmConfig,
-) -> SolveReport {
-    solve_with(window, weights, prior, config, &f32_linear_solver)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use archytas_slam::{
-        schur_linear_solver, solve, KeyframeState, Landmark, Observation, Pose, Quat, Vec3,
+        schur_linear_solver, solve, solve_f32_in_workspace, FactorWeights, KeyframeState, Landmark,
+        LmConfig, Observation, Pose, Quat, SlidingWindow, SolverWorkspace, Vec3,
     };
 
     fn spd_system(n: usize, landmarks: usize) -> (DMat, DVec) {
@@ -166,7 +164,8 @@ mod tests {
         let mut sw = build();
         let r_sw = solve(&mut sw, &weights, None, &cfg);
         let mut acc = build();
-        let r_acc = accelerated_solve(&mut acc, &weights, None, &cfg);
+        let r_acc =
+            solve_f32_in_workspace(&mut SolverWorkspace::new(), &mut acc, &weights, None, &cfg);
 
         assert!(r_acc.final_cost < r_sw.initial_cost * 1e-3);
         for (a, b) in sw.keyframes.iter().zip(&acc.keyframes) {

@@ -263,11 +263,13 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// Adds `val` to `W[r][lm]` (`r` relative to the pose region), creating
     /// the enclosing block on first touch.
     ///
-    /// `r` must fall inside the leading `kb` rows of its `stride`-aligned
-    /// block — an assembler invariant, checked in debug builds only (this
-    /// is the per-observation hot path).
+    /// # Panics
+    ///
+    /// Panics when `r` falls outside the leading `kb` rows of its
+    /// `stride`-aligned block (see [`BlockSparseSystem::add_w_run`]).
     pub fn add_w(&mut self, lm: usize, r: usize, val: T) {
-        *self.w_entry_mut(lm, r) += val;
+        let at = self.w_run_at(lm, r, 1);
+        self.w_vals[lm][at] += val;
     }
 
     /// Adds `scale·vals[t]` to `W[r0 + t][lm]` for each nonzero `vals[t]`,
@@ -275,29 +277,26 @@ impl<T: Scalar> BlockSparseSystem<T> {
     /// [`BlockSparseSystem::add_w`], with the zero-skip semantics of
     /// [`BlockSparseSystem::add_v_row`]).
     ///
-    /// The run must stay inside the leading `kb` rows of one
-    /// `stride`-aligned block — an assembler invariant, checked in debug
-    /// builds only (this is the per-observation hot path).
+    /// # Panics
+    ///
+    /// Panics when the run leaves the leading `kb` rows of its
+    /// `stride`-aligned block. The check runs once per run in every build
+    /// profile, so a bad row can never write into a neighbouring block.
     pub fn add_w_run(&mut self, lm: usize, r0: usize, vals: &[T], scale: T) {
         if vals.is_empty() {
             return;
         }
-        let b0 = r0 - r0 % self.stride;
-        let local = r0 - b0;
-        debug_assert!(
-            local + vals.len() <= self.kb,
-            "w run {r0}..{} leaves the {}-high block starting at {b0}",
-            r0 + vals.len(),
-            self.kb
-        );
-        let pos = self.w_block_pos(lm, b0);
-        let at = pos * self.kb + local;
+        let at = self.w_run_at(lm, r0, vals.len());
         kernels::add_scaled_skip(&mut self.w_vals[lm][at..at + vals.len()], vals, scale);
     }
 
     /// Fused pair form of [`BlockSparseSystem::add_w_run`]: one block lookup
     /// and one traversal for two scaled source rows at the same `(lm, r0)`
     /// run, bit-identical to two sequential `add_w_run` calls.
+    ///
+    /// # Panics
+    ///
+    /// As [`BlockSparseSystem::add_w_run`].
     pub fn add_w_run2(
         &mut self,
         lm: usize,
@@ -311,16 +310,7 @@ impl<T: Scalar> BlockSparseSystem<T> {
         if vals0.is_empty() {
             return;
         }
-        let b0 = r0 - r0 % self.stride;
-        let local = r0 - b0;
-        debug_assert!(
-            local + vals0.len() <= self.kb,
-            "w run {r0}..{} leaves the {}-high block starting at {b0}",
-            r0 + vals0.len(),
-            self.kb
-        );
-        let pos = self.w_block_pos(lm, b0);
-        let at = pos * self.kb + local;
+        let at = self.w_run_at(lm, r0, vals0.len());
         kernels::add_scaled_skip2(
             &mut self.w_vals[lm][at..at + vals0.len()],
             vals0,
@@ -348,7 +338,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
     ///
     /// # Panics
     ///
-    /// Debug-panics unless `kb == 6` (callers dispatch on the layout).
+    /// Panics unless `kb == 6` (callers dispatch on the layout), when
+    /// `rf >= rs`, or when either pose run does not start a block.
     #[allow(clippy::too_many_arguments)]
     pub fn add_visual_obs6(
         &mut self,
@@ -361,8 +352,8 @@ impl<T: Scalar> BlockSparseSystem<T> {
         e: [T; 2],
         w2: T,
     ) {
-        debug_assert_eq!(self.kb, 6, "fused visual scatter requires kb = 6");
-        debug_assert!(rf < rs, "pose runs must arrive in ascending order");
+        assert_eq!(self.kb, 6, "fused visual scatter requires kb = 6");
+        assert!(rf < rs, "pose runs must arrive in ascending order");
         // Source column 1: the inverse depth. Primaries land on U and bx;
         // the mirrors of the pose cross terms are the W runs' only storage.
         let (v0, v1) = (jr[0], jr[1]);
@@ -375,14 +366,13 @@ impl<T: Scalar> BlockSparseSystem<T> {
             if v1 != T::ZERO {
                 self.bx[lm] -= wv1 * e[1];
             }
-            // Pose runs start at keyframe offsets, i.e. block starts — no
-            // `% stride` round-down needed. Resolving `rf` before `rs`
-            // matches the sequential `add_w_run*` lookups (and `rs > rf`
-            // keeps the first position valid across a second-block insert).
-            debug_assert_eq!(rf % self.stride, 0);
-            debug_assert_eq!(rs % self.stride, 0);
-            let pf = 6 * self.w_block_pos(lm, rf);
-            let ps = 6 * self.w_block_pos(lm, rs);
+            // Pose runs start at keyframe offsets, i.e. block starts; each
+            // 6-wide run is checked to fill exactly its block. Resolving
+            // `rf` before `rs` matches the sequential `add_w_run*` lookups
+            // (and `rs > rf` keeps the first position valid across a
+            // second-block insert).
+            let pf = self.w_run_at(lm, rf, 6);
+            let ps = self.w_run_at(lm, rs, 6);
             let wv = &mut self.w_vals[lm];
             if v0 != T::ZERO && v1 != T::ZERO {
                 self.u[lm] += wv0 * v0;
@@ -497,16 +487,26 @@ impl<T: Scalar> BlockSparseSystem<T> {
         self.by[r] -= val;
     }
 
-    fn w_entry_mut(&mut self, lm: usize, r: usize) -> &mut T {
-        let b0 = r - r % self.stride;
-        let local = r - b0;
-        debug_assert!(
-            local < self.kb,
-            "w row {r} falls outside the {}-high block starting at {b0}",
+    /// Offset in `w_vals[lm]` of the `len`-row `W` run starting at pose row
+    /// `r0`, creating the enclosing block on first touch — the one place a
+    /// pose row is resolved to `(block, local)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run leaves the leading `kb` rows of its
+    /// `stride`-aligned block, in every build profile: one comparison per
+    /// run, and the only thing standing between a bad row and a silent write
+    /// into the neighbouring block.
+    fn w_run_at(&mut self, lm: usize, r0: usize, len: usize) -> usize {
+        let b0 = r0 - r0 % self.stride;
+        let local = r0 - b0;
+        assert!(
+            local + len <= self.kb,
+            "w run {r0}..{} falls outside the {}-high block starting at {b0}",
+            r0 + len,
             self.kb
         );
-        let pos = self.w_block_pos(lm, b0);
-        &mut self.w_vals[lm][pos * self.kb + local]
+        self.w_block_pos(lm, b0) * self.kb + local
     }
 
     /// Index of the block starting at pose row `b0` in landmark `lm`'s block
@@ -528,6 +528,42 @@ impl<T: Scalar> BlockSparseSystem<T> {
         };
         self.w_memo = (lm, b0 as u32, pos);
         pos
+    }
+
+    /// Copies this system into `out` with every stored scalar converted to
+    /// `U` (`as` rounding for f64 → f32): the single-precision image the
+    /// accelerator's datapath solves. The block pattern is copied unchanged,
+    /// so `out.to_dense()` is exactly the element-wise cast of
+    /// `self.to_dense()`, and `out` solves bit-identically to the dense
+    /// [`SchurSystem`](crate::SchurSystem) on that cast. Whatever damping
+    /// `self` carries is baked into the copy (`out` starts undamped).
+    ///
+    /// Allocation-free once `out` has grown to this shape.
+    pub fn cast_into<U: Scalar>(&self, out: &mut BlockSparseSystem<U>) {
+        let p = self.p;
+        let cast = |v: &T| U::from_f64(v.to_f64());
+        out.p = p;
+        out.q = self.q;
+        out.kb = self.kb;
+        out.stride = self.stride;
+        out.u.clear();
+        out.u.extend(self.u.iter().map(cast));
+        if out.w_rows.len() < p {
+            out.w_rows.resize_with(p, Vec::new);
+            out.w_vals.resize_with(p, Vec::new);
+        }
+        for lm in 0..p {
+            out.w_rows[lm].clone_from(&self.w_rows[lm]);
+            out.w_vals[lm].clear();
+            out.w_vals[lm].extend(self.w_vals[lm].iter().map(cast));
+        }
+        self.v.cast_into(&mut out.v);
+        out.bx.clear();
+        out.bx.extend(self.bx.iter().map(cast));
+        out.by.clear();
+        out.by.extend(self.by.iter().map(cast));
+        out.damp_saved = false;
+        out.w_memo = (usize::MAX, 0, 0);
     }
 
     /// Applies Marquardt damping `A + λ·diag(A)` (with `floor` as the minimum
@@ -922,6 +958,54 @@ impl<T: Scalar> Default for SchurScratch<T> {
             chol: Cholesky::default(),
             ytmp: Vector::zeros(0),
             dy: Vector::zeros(0),
+        }
+    }
+}
+
+impl BlockSparseSystem<f64> {
+    /// Solves this system in single precision, the accelerator's datapath
+    /// (paper Sec. 3.2, Fig. 5): casts the blocks into `stage`
+    /// ([`BlockSparseSystem::cast_into`]), runs
+    /// [`BlockSparseSystem::solve_into`] at `f32`, and widens the increment
+    /// into `out`.
+    ///
+    /// Returns `false` (leaving `out` unspecified) when the f32 solve fails
+    /// or its increment is not finite. That is exactly when the dense f32
+    /// path — the element-wise f32 cast of [`BlockSparseSystem::to_dense`]
+    /// through [`SchurSystem`](crate::SchurSystem), or dense Cholesky when
+    /// `p == 0` — yields no finite increment, and when it does yield one,
+    /// `out` holds it bit for bit. Allocation-free once `stage` has grown
+    /// to this shape.
+    pub fn solve_f32_into(&self, stage: &mut F32Stage, pool: &Pool, out: &mut Vector<f64>) -> bool {
+        self.cast_into(&mut stage.sys);
+        if stage
+            .sys
+            .solve_into(&mut stage.scratch, pool, &mut stage.x)
+            .is_err()
+            || !stage.x.all_finite()
+        {
+            return false;
+        }
+        stage.x.cast_into(out);
+        true
+    }
+}
+
+/// Reusable buffers for [`BlockSparseSystem::solve_f32_into`]: the f32
+/// image of the system, its Schur scratch and the f32 increment.
+#[derive(Debug, Clone)]
+pub struct F32Stage {
+    sys: BlockSparseSystem<f32>,
+    scratch: SchurScratch<f32>,
+    x: Vector<f32>,
+}
+
+impl Default for F32Stage {
+    fn default() -> Self {
+        Self {
+            sys: BlockSparseSystem::new(),
+            scratch: SchurScratch::default(),
+            x: Vector::zeros(0),
         }
     }
 }

@@ -47,7 +47,7 @@ mod triangular;
 mod vector;
 
 pub use block::{split_vector, BlockSpec, Blocked2x2};
-pub use block_sparse::{BlockSparseSystem, SchurScratch};
+pub use block_sparse::{BlockSparseSystem, F32Stage, SchurScratch};
 pub use cholesky::Cholesky;
 pub use diag::DiagMat;
 pub use error::{MathError, Result};

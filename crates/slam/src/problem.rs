@@ -205,7 +205,9 @@ impl NormalEqSink for BlockSink<'_> {
         let p = self.p;
         match (i < p, j < p) {
             (true, true) => {
-                debug_assert_eq!(i, j, "off-diagonal landmark–landmark entry");
+                // `U` is stored as its diagonal: an off-diagonal entry would
+                // silently land on landmark `i`'s diagonal.
+                assert_eq!(i, j, "off-diagonal landmark–landmark entry");
                 self.sys.add_u(i, v);
             }
             (false, false) => self.sys.add_v(i - p, j - p, v),

@@ -3,7 +3,7 @@
 //!
 //! The block-sparse assembler + reused-workspace solve (`solve_in_workspace`)
 //! must produce bit-for-bit the same reports and optimized windows as the
-//! dense path (`solve_with` + `schur_linear_solver`), on fixed and
+//! dense path (`solve_with_in_workspace` + `schur_linear_solver`), on fixed and
 //! property-generated window shapes, with and without an IMU/marginalization
 //! prior, and for every pool configuration.
 
@@ -11,9 +11,9 @@ use archytas_math::{BlockSparseSystem, DMat, SchurScratch};
 use archytas_par::Pool;
 use archytas_slam::{
     build_block_normal_equations, build_normal_equations, marginalize_oldest, schur_linear_solver,
-    solve_in_workspace, solve_with, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
-    Landmark, LmConfig, Observation, Pose, Preintegration, Prior, Quat, SlidingWindow, SolveReport,
-    SolverWorkspace, Vec3, GRAVITY,
+    solve_in_workspace, solve_with_in_workspace, FactorWeights, ImuConstraint, ImuSample,
+    KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration, Prior, Quat,
+    SlidingWindow, SolveReport, SolverWorkspace, Vec3, GRAVITY,
 };
 use proptest::prelude::*;
 
@@ -160,7 +160,14 @@ fn assert_solve_equivalent(window: &SlidingWindow, prior: Option<&Prior>, config
     let weights = FactorWeights::default();
 
     let mut dense_w = window.clone();
-    let dense_report = solve_with(&mut dense_w, &weights, prior, config, &schur_linear_solver);
+    let dense_report = solve_with_in_workspace(
+        &mut SolverWorkspace::new(),
+        &mut dense_w,
+        &weights,
+        prior,
+        config,
+        &schur_linear_solver,
+    );
 
     let mut block_w = window.clone();
     let mut ws = SolverWorkspace::new();
@@ -293,7 +300,14 @@ fn workspace_reuse_across_window_shapes() {
         let template = make_window(num_kf, num_lm, seed);
 
         let mut dense_w = template.clone();
-        let dense_report = solve_with(&mut dense_w, &weights, None, &config, &schur_linear_solver);
+        let dense_report = solve_with_in_workspace(
+            &mut SolverWorkspace::new(),
+            &mut dense_w,
+            &weights,
+            None,
+            &config,
+            &schur_linear_solver,
+        );
 
         let mut block_w = template.clone();
         let block_report = solve_in_workspace(&mut ws, &mut block_w, &weights, None, &config);

@@ -10,15 +10,19 @@
 //! a 1-iteration solve on an identical window — i.e. the five extra LM
 //! iterations (assembly, damping, Schur elimination, Cholesky, triangular
 //! solves, cost evaluation, candidate bookkeeping) perform zero heap
-//! allocations. Per-solve fixed costs that don't scale with iterations
-//! (`Pool::global`'s environment reads) cancel out of the delta.
+//! allocations. Per-solve fixed costs that don't scale with iterations (the
+//! report's step-norm buffer) cancel out of the delta. Both block-sparse
+//! steps are measured: the f64 one and the served f32 one, whose extra work
+//! per retry (casting the damped blocks to f32) must reuse the workspace's
+//! f32 buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use archytas_slam::{
-    solve_in_workspace, FactorWeights, ImuConstraint, ImuSample, KeyframeState, Landmark, LmConfig,
-    Observation, Pose, Preintegration, Quat, SlidingWindow, SolverWorkspace, Vec3,
+    solve_f32_in_workspace, solve_in_workspace, FactorWeights, ImuConstraint, ImuSample,
+    KeyframeState, Landmark, LmConfig, Observation, Pose, Preintegration, Quat, SlidingWindow,
+    SolveReport, SolverWorkspace, Vec3,
 };
 
 struct CountingAlloc;
@@ -109,16 +113,24 @@ fn make_window(num_kf: usize, num_lm: usize) -> SlidingWindow {
     w
 }
 
-#[test]
-fn lm_iterations_allocate_nothing_after_warmup() {
+type Solve = fn(
+    &mut SolverWorkspace,
+    &mut SlidingWindow,
+    &FactorWeights,
+    Option<&archytas_slam::Prior>,
+    &LmConfig,
+) -> SolveReport;
+
+/// Asserts that `solve`'s extra LM iterations allocate nothing on a warmed
+/// workspace.
+fn assert_iterations_allocation_free(name: &str, solve: Solve, window: &SlidingWindow) {
     let weights = FactorWeights::default();
-    let window = make_window(6, 60);
     let mut ws = SolverWorkspace::new();
 
     // Warmup: grow every workspace buffer (block system, Schur scratch,
     // Cholesky, candidate window, increment) to this window's shape.
     let mut warm = window.clone();
-    let r = solve_in_workspace(
+    let r = solve(
         &mut ws,
         &mut warm,
         &weights,
@@ -138,7 +150,7 @@ fn lm_iterations_allocate_nothing_after_warmup() {
         for _ in 0..5 {
             let mut w = window.clone();
             let before = allocations();
-            let r = solve_in_workspace(
+            let r = solve(
                 &mut ws,
                 &mut w,
                 &weights,
@@ -156,20 +168,27 @@ fn lm_iterations_allocate_nothing_after_warmup() {
 
     // Both solves must have actually iterated (same window, same warmed
     // workspace — the only difference is the iteration budget).
-    assert_eq!(short_iters, 1);
+    assert_eq!(short_iters, 1, "{name}");
     assert!(
         long_iters > short_iters,
-        "long solve stopped after {long_iters} iterations"
+        "{name}: long solve stopped after {long_iters} iterations"
     );
 
     assert_eq!(
         long_allocs,
         short_allocs,
-        "the {} extra LM iterations allocated {} times \
+        "{name}: the {} extra LM iterations allocated {} times \
          (1-iter solve: {short_allocs}, {long_iters}-iter solve: {long_allocs})",
         long_iters - short_iters,
         long_allocs as i64 - short_allocs as i64,
     );
+}
+
+#[test]
+fn lm_iterations_allocate_nothing_after_warmup() {
+    let window = make_window(6, 60);
+    assert_iterations_allocation_free("f64 block step", solve_in_workspace, &window);
+    assert_iterations_allocation_free("served f32 block step", solve_f32_in_workspace, &window);
 
     // The fixed-width dispatch path in isolation: on this window the block
     // assembler and Schur solve run the fused kb = 6 kernels (whole-
@@ -197,5 +216,28 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     assert_eq!(
         direct_best, 0,
         "warmed fixed-width assemble/damp/solve cycle allocated {direct_best} times"
+    );
+
+    // The served step's cast-then-solve in isolation: the f32 image and its
+    // Schur scratch are rewritten in place once grown.
+    let mut sys32 = archytas_math::BlockSparseSystem::<f32>::new();
+    let mut scratch32 = archytas_math::SchurScratch::default();
+    let mut delta32 = archytas_math::FVec::zeros(0);
+    sys.cast_into(&mut sys32);
+    sys32
+        .solve_into(&mut scratch32, &pool, &mut delta32)
+        .unwrap();
+    let mut cast_best = u64::MAX;
+    for _ in 0..5 {
+        let before = allocations();
+        sys.cast_into(&mut sys32);
+        sys32
+            .solve_into(&mut scratch32, &pool, &mut delta32)
+            .unwrap();
+        cast_best = cast_best.min(allocations() - before);
+    }
+    assert_eq!(
+        cast_best, 0,
+        "warmed f32 cast/solve cycle allocated {cast_best} times"
     );
 }

@@ -2,7 +2,8 @@
 //! design, static vs dynamically optimized — the run-time system's
 //! clock-gating energy story (paper Sec. 6/7.6).
 //!
-//! Both runs solve every window through a reused `SolverWorkspace`, and
+//! Both runs solve every window on the served path (block-sparse f32
+//! Schur solve, `solve_f32_in_workspace`) with a reused `SolverWorkspace`, and
 //! the dynamic run feeds the estimator's health verdict to the runtime
 //! (`step_with_health`): its energy savings come with a safety interlock
 //! that pins full compute whenever the estimator reports trouble.

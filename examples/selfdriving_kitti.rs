@@ -3,7 +3,9 @@
 //! Intel CPU baseline, comparing latency, energy and accuracy.
 //!
 //! The drive runs on the current estimator stack: every window is solved
-//! through a reused `SolverWorkspace` (no per-window allocation) and the
+//! on the served path — f32 block-sparse Schur solve on the accelerator,
+//! the f64 block solve on the CPU — through a reused `SolverWorkspace` (no
+//! per-window allocation) and the
 //! runtime is fed the estimator's per-window health verdict via
 //! `step_with_health`, so the watchdog telemetry printed at the end is
 //! live — on this clean stream it must stay at zero.
