@@ -77,6 +77,11 @@ fn fleet_matches_serial_alone_at_any_pool_size_and_admission_order() {
             let report = run_fleet(order, &config);
             assert_eq!(report.threads, threads);
             assert_eq!(report.sessions.len(), order.len());
+            // Solver scratch is one workspace per worker, checked out once
+            // per quantum.
+            let scratch = report.scheduler.scratch;
+            assert!((1..=threads).contains(&scratch.created), "{threads}t");
+            assert_eq!(scratch.checkouts, report.scheduler.quanta);
             for (spec, session) in order.iter().zip(&report.sessions) {
                 assert_eq!(
                     session.outcome,
