@@ -16,7 +16,8 @@
 //!   deterministic shed/defer/admit decision set plus post-run digests;
 //! * one `OBSJSON {...}` line — a superset of the fleet bench's FLEETJSON
 //!   record (same field prefix) extended with running fleet watts, the
-//!   envelope verdicts, and per-phase wall-time attribution. Wall-clock
+//!   envelope verdicts, and per-phase wall-time attribution (shares of the
+//!   workers' wall time, closed by an `unattributed` row). Wall-clock
 //!   fields live only here, never in OBSREC/OBSENV.
 //!
 //! A `perf_phases`-style human table of the same numbers goes to stdout
@@ -99,13 +100,18 @@ fn main() {
     };
 
     // Phase counters attribute solver wall time (assembly, factorization,
-    // back-substitution, ...) across the whole serving run. Timing only —
-    // everything deterministic flows through the telemetry instead.
+    // back-substitution, ...) across the whole serving run; shares are of
+    // the workers' wall time (the recording wall × workers), the rest is
+    // the `unattributed` row. Timing only — everything deterministic flows
+    // through the telemetry instead.
     counters::reset();
     counters::enable();
+    let recording = std::time::Instant::now();
     let report = run_fleet(&specs, &config);
+    let recording_ns = recording.elapsed().as_nanos() as u64;
     counters::disable();
-    let phases = phase_rows();
+    let worker_wall_ns = recording_ns * report.threads.max(1) as u64;
+    let phases = phase_rows(worker_wall_ns);
 
     // ---- Human tables --------------------------------------------------
     banner("OBS", "fleet observability: per-class telemetry + power");
@@ -275,6 +281,7 @@ fn main() {
         )
         .float("envelope_fleet_power_w", env_report.fleet_power_w, 6)
         .uint("attributed_ns", counters::attributed_total_ns())
+        .uint("worker_wall_ns", worker_wall_ns)
         .raw("phases", &phase_json);
     println!("OBSJSON {}", line.finish());
 }

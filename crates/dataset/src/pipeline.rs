@@ -8,7 +8,7 @@
 
 use crate::frontend::Frame;
 use archytas_slam::{
-    drop_oldest, try_marginalize_oldest, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
+    drop_oldest, try_marginalize_oldest_in, FactorWeights, ImuConstraint, ImuSample, KeyframeState,
     Landmark, LmConfig, Observation, Pose, Preintegration, Prior, SlidingWindow, SolveReport,
     SolverWorkspace, WindowWorkload, GRAVITY,
 };
@@ -483,9 +483,7 @@ impl VioPipeline {
         workspace: &mut SolverWorkspace,
         iterations: usize,
     ) -> WindowResult {
-        self.optimize_then_slide(iterations, |window, weights, prior, config| {
-            archytas_slam::solve_in_workspace(workspace, window, weights, prior, config)
-        })
+        self.optimize_then_slide(workspace, iterations, archytas_slam::solve_in_workspace)
     }
 
     /// Optimizes the window on the accelerator's single-precision datapath
@@ -500,9 +498,7 @@ impl VioPipeline {
         workspace: &mut SolverWorkspace,
         iterations: usize,
     ) -> WindowResult {
-        self.optimize_then_slide(iterations, |window, weights, prior, config| {
-            archytas_slam::solve_f32_in_workspace(workspace, window, weights, prior, config)
-        })
+        self.optimize_then_slide(workspace, iterations, archytas_slam::solve_f32_in_workspace)
     }
 
     /// Optimizes the window through the dense reference step with a
@@ -522,25 +518,37 @@ impl VioPipeline {
         iterations: usize,
         linear_solver: archytas_slam::LinearSolver<'_>,
     ) -> WindowResult {
-        self.optimize_then_slide(iterations, |window, weights, prior, config| {
-            archytas_slam::solve_with_in_workspace(
-                workspace,
-                window,
-                weights,
-                prior,
-                config,
-                linear_solver,
-            )
-        })
+        self.optimize_then_slide(
+            workspace,
+            iterations,
+            |ws, window, weights, prior, config| {
+                archytas_slam::solve_with_in_workspace(
+                    ws,
+                    window,
+                    weights,
+                    prior,
+                    config,
+                    linear_solver,
+                )
+            },
+        )
     }
 
     /// Runs `solve` on the full window with the configured weights, prior
     /// and iteration budget, then slides (shared head of the optimize
-    /// entry points).
+    /// entry points). The solve and the marginalization share `workspace`
+    /// and its dispatch pool.
     fn optimize_then_slide(
         &mut self,
+        workspace: &mut SolverWorkspace,
         iterations: usize,
-        solve: impl FnOnce(&mut SlidingWindow, &FactorWeights, Option<&Prior>, &LmConfig) -> SolveReport,
+        solve: impl FnOnce(
+            &mut SolverWorkspace,
+            &mut SlidingWindow,
+            &FactorWeights,
+            Option<&Prior>,
+            &LmConfig,
+        ) -> SolveReport,
     ) -> WindowResult {
         assert!(
             self.window.num_keyframes() >= self.config.window_size,
@@ -552,17 +560,18 @@ impl VioPipeline {
             None
         };
         let report = solve(
+            workspace,
             &mut self.window,
             &self.config.weights,
             prior,
             &LmConfig::with_iterations(iterations),
         );
-        self.slide(report)
+        self.slide(workspace, report)
     }
 
     /// Records the optimized window's result, marginalizes the oldest
     /// keyframe, and slides the window (shared tail of the optimize paths).
-    fn slide(&mut self, report: SolveReport) -> WindowResult {
+    fn slide(&mut self, workspace: &mut SolverWorkspace, report: SolveReport) -> WindowResult {
         let prior = if self.config.use_prior {
             self.prior.as_ref()
         } else {
@@ -582,7 +591,7 @@ impl VioPipeline {
         let ground_truth = self.gt_window[newest].pose;
         let outcome_degraded = report.outcome.is_degraded();
 
-        match try_marginalize_oldest(&self.window, &self.config.weights, prior) {
+        match try_marginalize_oldest_in(workspace, &self.window, &self.config.weights, prior) {
             Ok(marg) => {
                 self.window = marg.window;
                 self.prior = self.config.use_prior.then_some(marg.prior);

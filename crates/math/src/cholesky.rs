@@ -53,6 +53,34 @@ pub struct CholeskyOpCounts {
     pub iterations: usize,
 }
 
+/// Reusable buffers of [`Cholesky::inverse_skipping_zeros_into`].
+#[derive(Debug, Clone)]
+pub struct InverseScratch<T: Scalar> {
+    e: Vector<T>,
+    y: Vector<T>,
+    x: Vector<T>,
+    /// Nonzero columns of `L` left of the diagonal, row by row.
+    lower: Vec<usize>,
+    lower_start: Vec<usize>,
+    /// Nonzero columns of `Lᵀ` right of the diagonal, row by row.
+    upper: Vec<usize>,
+    upper_start: Vec<usize>,
+}
+
+impl<T: Scalar> Default for InverseScratch<T> {
+    fn default() -> Self {
+        Self {
+            e: Vector::zeros(0),
+            y: Vector::zeros(0),
+            x: Vector::zeros(0),
+            lower: Vec::new(),
+            lower_start: Vec::new(),
+            upper: Vec::new(),
+            upper_start: Vec::new(),
+        }
+    }
+}
+
 impl<T: Scalar> Default for Cholesky<T> {
     /// An empty (0-dimensional) factorization, as a reusable-buffer seed for
     /// [`Cholesky::refactor_with`].
@@ -276,6 +304,12 @@ impl<T: Scalar> Cholesky<T> {
         &self.l
     }
 
+    /// Consumes the factorization and returns `Lᵀ` (stored, not transposed
+    /// on demand: bit-identical to `l().transpose()`).
+    pub fn into_lt(self) -> Matrix<T> {
+        self.lt
+    }
+
     /// Consumes the factorization and returns `L`.
     pub fn into_l(self) -> Matrix<T> {
         self.l
@@ -311,21 +345,120 @@ impl<T: Scalar> Cholesky<T> {
 
     /// Dense inverse `A⁻¹`, computed by solving against the identity columns.
     ///
-    /// Used by the M-type Schur path when a generic (non-diagonal) block must
-    /// be inverted (paper Eq. 5 resolves this to two smaller inversions, but
-    /// the recursion bottoms out here).
+    /// The reference [`Cholesky::inverse_skipping_zeros_into`] (the
+    /// marginalization's `M⁻¹`) is checked against, bit for bit, and the
+    /// inverse inside [`crate::dense_schur_complement`]. One unit vector and
+    /// the two substitution buffers are reused across columns.
     pub fn inverse(&self) -> Matrix<T> {
         let n = self.dim();
         let mut inv = Matrix::zeros(n, n);
+        let mut e = Vector::zeros(n);
+        let mut y = Vector::zeros(n);
+        let mut x = Vector::zeros(n);
         for j in 0..n {
-            let mut e = Vector::zeros(n);
-            e[j] = T::ONE;
-            let col = self.solve(&e);
-            for i in 0..n {
-                inv.set(i, j, col[i]);
-            }
+            self.dense_inverse_column(j, &mut inv, &mut e, &mut y, &mut x);
         }
         inv
+    }
+
+    /// Column `j` of [`Cholesky::inverse`]: `e` must be all zeros on entry
+    /// and is left all zeros.
+    fn dense_inverse_column(
+        &self,
+        j: usize,
+        inv: &mut Matrix<T>,
+        e: &mut Vector<T>,
+        y: &mut Vector<T>,
+        x: &mut Vector<T>,
+    ) {
+        e[j] = T::ONE;
+        self.solve_into(e, y, x);
+        e[j] = T::ZERO;
+        for i in 0..self.dim() {
+            inv.set(i, j, x[i]);
+        }
+    }
+
+    /// [`Cholesky::inverse`] into `inv`, skipping the multiply-subtracts of
+    /// the substitutions whose product is an exact zero: the forward solve
+    /// of column `j` starts at row `j` (its first `j` entries are zeros), and
+    /// both solves walk only the nonzero entries of `L`'s rows and `Lᵀ`'s
+    /// rows. A factor with a diagonal leading block — the marginalization's
+    /// `M`, whose landmark rows of `L` are zero left of the diagonal — makes
+    /// most of the `n³` work of the dense inverse exact zeros.
+    ///
+    /// Bit-identical to [`Cholesky::inverse`]. Every remaining term is the
+    /// dense loop's, in the dense loop's order. A successful factorization
+    /// has a finite `L` (a non-finite entry would have poisoned a later
+    /// pivot), so a skipped term is `±0` whenever the solution entry it
+    /// multiplies is finite; and an accumulator never holds `-0.0` unless it
+    /// starts there (`a − b` is `-0.0` only for `a = -0.0`, `b = +0.0`), so
+    /// subtracting `±0` leaves its bits alone. Rows whose back-substitution
+    /// starts from `-0.0`, and whole columns with a non-finite entry, take
+    /// the dense loop instead.
+    pub fn inverse_skipping_zeros_into(
+        &self,
+        inv: &mut Matrix<T>,
+        scratch: &mut InverseScratch<T>,
+    ) {
+        let n = self.dim();
+        inv.reset_zeros(n, n);
+        let s = scratch;
+        s.e.resize_fill(n, T::ZERO);
+        s.y.resize_fill(n, T::ZERO);
+        s.x.resize_fill(n, T::ZERO);
+        // Nonzero columns of each row of `L` left of the diagonal and of
+        // each row of `Lᵀ` right of it, ascending (the dense loops' order).
+        s.lower.clear();
+        s.lower_start.clear();
+        s.upper.clear();
+        s.upper_start.clear();
+        for i in 0..n {
+            s.lower_start.push(s.lower.len());
+            let row = self.l.row(i);
+            s.lower.extend((0..i).filter(|&k| row[k] != T::ZERO));
+            s.upper_start.push(s.upper.len());
+            let row = self.lt.row(i);
+            s.upper.extend((i + 1..n).filter(|&k| row[k] != T::ZERO));
+        }
+        s.lower_start.push(s.lower.len());
+        s.upper_start.push(s.upper.len());
+
+        for j in 0..n {
+            let y = s.y.as_mut_slice();
+            y[..j].fill(T::ZERO);
+            for i in j..n {
+                let row = self.l.row(i);
+                let cols = &s.lower[s.lower_start[i]..s.lower_start[i + 1]];
+                let mut acc = if i == j { T::ONE } else { T::ZERO };
+                for &k in &cols[cols.partition_point(|&k| k < j)..] {
+                    acc -= row[k] * y[k];
+                }
+                y[i] = acc / row[i];
+            }
+            let x = s.x.as_mut_slice();
+            for i in (0..n).rev() {
+                let row = self.lt.row(i);
+                let mut acc = y[i];
+                if acc == T::ZERO && acc.to_f64().is_sign_negative() {
+                    for k in i + 1..n {
+                        acc -= row[k] * x[k];
+                    }
+                } else {
+                    for &k in &s.upper[s.upper_start[i]..s.upper_start[i + 1]] {
+                        acc -= row[k] * x[k];
+                    }
+                }
+                x[i] = acc / row[i];
+            }
+            if y.iter().chain(x.iter()).all(|v| v.is_finite()) {
+                for (i, &v) in x.iter().enumerate() {
+                    inv.set(i, j, v);
+                }
+            } else {
+                self.dense_inverse_column(j, inv, &mut s.e, &mut s.y, &mut s.x);
+            }
+        }
     }
 
     /// Log-determinant of `A` (`2·Σ log Lᵢᵢ`), useful for covariance sanity

@@ -48,7 +48,7 @@ mod vector;
 
 pub use block::{split_vector, BlockSpec, Blocked2x2};
 pub use block_sparse::{BlockSparseSystem, F32Stage, SchurScratch};
-pub use cholesky::Cholesky;
+pub use cholesky::{Cholesky, InverseScratch};
 pub use diag::DiagMat;
 pub use error::{MathError, Result};
 pub use matrix::Matrix;

@@ -254,6 +254,19 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Returns [`MathError::DimensionMismatch`] when `self.cols != rhs.rows`.
     pub fn try_mul_with(&self, rhs: &Self, pool: &Pool) -> Result<Self> {
+        let mut out = Self::zeros(0, 0);
+        self.try_mul_into(rhs, &mut out, pool)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::try_mul_with`] into `out`, reshaped and reusing its
+    /// allocation: the same kernel, so the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MathError::DimensionMismatch`] when `self.cols != rhs.rows`
+    /// (`out` is left untouched).
+    pub fn try_mul_into(&self, rhs: &Self, out: &mut Self, pool: &Pool) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(MathError::DimensionMismatch {
                 op: "mat_mul",
@@ -261,10 +274,10 @@ impl<T: Scalar> Matrix<T> {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = Self::zeros(self.rows, rhs.cols);
+        out.reset_zeros(self.rows, rhs.cols);
         let n = rhs.cols;
         if n == 0 {
-            return Ok(out);
+            return Ok(());
         }
         // One multiply-accumulate per (i, k, j) triple.
         let est_ops = self.rows * self.cols * n;
@@ -284,7 +297,7 @@ impl<T: Scalar> Matrix<T> {
                 }
             }
         });
-        Ok(out)
+        Ok(())
     }
 
     /// Matrix–vector product.

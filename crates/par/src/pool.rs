@@ -1,7 +1,7 @@
 //! Scoped worker pool over [`std::thread::scope`].
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default minimum number of work items before a combinator goes parallel.
 ///
@@ -71,6 +71,9 @@ pub fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// [`Pool::global`] calls since process start (see [`Pool::resolutions`]).
+static RESOLUTIONS: AtomicU64 = AtomicU64::new(0);
+
 fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
@@ -100,7 +103,13 @@ impl Pool {
     /// `ARCHYTAS_PAR_THRESHOLD` serial-fallback threshold (default
     /// [`DEFAULT_SERIAL_THRESHOLD`]) and an `ARCHYTAS_PAR_MIN_WORK` weighted
     /// dispatch floor (default [`DEFAULT_MIN_PARALLEL_WORK`]).
+    ///
+    /// Each call re-reads the environment and, without `ARCHYTAS_THREADS`,
+    /// the cgroup CPU limits behind `available_parallelism` — tens of
+    /// microseconds — so hot paths resolve a pool once and pass it down.
+    /// Every call is counted ([`Pool::resolutions`]).
     pub fn global() -> Pool {
+        RESOLUTIONS.fetch_add(1, Ordering::Relaxed);
         let threads = match env_usize("ARCHYTAS_THREADS") {
             Some(n) if n > 0 => n,
             _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -113,6 +122,13 @@ impl Pool {
             serial_threshold,
             min_work,
         }
+    }
+
+    /// Number of [`Pool::global`] resolutions since process start (one
+    /// relaxed counter, shared by every thread): lets a test assert that a
+    /// hot path resolves no pool of its own.
+    pub fn resolutions() -> u64 {
+        RESOLUTIONS.load(Ordering::Relaxed)
     }
 
     /// A pool with an explicit thread count (minimum 1).

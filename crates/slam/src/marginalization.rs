@@ -8,12 +8,18 @@
 //! and pose states, so — unlike the NLS solve — its leading sub-block is only
 //! *partially* diagonal; the M-DFG builder picks the blocking with the
 //! diagonal `M₁₁`, which is exactly the landmark sub-block here).
+//!
+//! Steps (2) and (3) work on that structure: the scatter writes only the
+//! blocks the Schur complement reads, and `M⁻¹` comes from substitutions
+//! that skip the exact zeros of `M₁₁`'s factor. Both are bit-identical to
+//! assembling a dense `H` and inverting `M` densely, the formulation
+//! `crates/faults/tests/marginalization_oracle.rs` keeps as its oracle.
 
 use crate::factors::{evaluate_imu, evaluate_visual, FactorWeights};
 use crate::prior::Prior;
-use crate::solver::SolveError;
+use crate::solver::{SolveError, SolverWorkspace};
 use crate::window::{SlidingWindow, STATE_DIM};
-use archytas_math::{BlockSpec, Blocked2x2, Cholesky, DMat, DVec};
+use archytas_math::{Cholesky, DMat, DVec, InverseScratch};
 use archytas_par::counters::{self, Phase};
 
 /// Outcome of marginalizing the oldest keyframe out of a window.
@@ -54,6 +60,10 @@ pub fn marginalize_oldest(
 /// instead of panicking, letting the pipeline drop the prior and continue
 /// (see [`drop_oldest`] for the prior-free window shrink).
 ///
+/// Runs [`try_marginalize_oldest_in`] on a fresh workspace, so each call
+/// resolves one dispatch pool from the environment; the served pipeline
+/// passes its solver workspace instead.
+///
 /// # Panics
 ///
 /// Still panics when the window has fewer than two keyframes — a programmer
@@ -63,12 +73,103 @@ pub fn try_marginalize_oldest(
     weights: &FactorWeights,
     prior: Option<&Prior>,
 ) -> Result<MarginalizationResult, SolveError> {
+    let mut ws = SolverWorkspace::new();
+    ws.recalibrate();
+    try_marginalize_oldest_in(&mut ws, window, weights, prior)
+}
+
+/// [`try_marginalize_oldest`] with its blocks, factor and products in `ws`'s
+/// reused buffers, dispatched on `ws`'s pool (resolved by its first solve;
+/// dispatch changes timing, never bits).
+///
+/// # Panics
+///
+/// Panics when the window has fewer than two keyframes.
+pub fn try_marginalize_oldest_in(
+    ws: &mut SolverWorkspace,
+    window: &SlidingWindow,
+    weights: &FactorWeights,
+    prior: Option<&Prior>,
+) -> Result<MarginalizationResult, SolveError> {
     counters::time(Phase::Marginalization, || {
-        try_marginalize_oldest_impl(window, weights, prior)
+        let pool = ws.resolve_pool();
+        marginalize(ws.marg_scratch(), &pool, window, weights, prior)
     })
 }
 
-fn try_marginalize_oldest_impl(
+/// Buffers of one marginalization, reused across windows through the
+/// [`SolverWorkspace`].
+///
+/// The local ordering is `[marginalized landmarks (am) | kf0 (15) | kept
+/// keyframes ((b−1)·15)]`, split after `kf0` into the blocks the M-type
+/// Schur complement reads: `U` (marginalized), `W` (kept × marginalized) and
+/// `V` (kept). The upper-right block is `Wᵀ` and is never formed.
+#[derive(Debug, Clone)]
+pub(crate) struct MargScratch {
+    /// `U`, regularized in place into `M`.
+    u: DMat,
+    w: DMat,
+    /// `V`, turned in place into the Schur complement `V − W·M⁻¹·Wᵀ`.
+    v: DMat,
+    g: DVec,
+    /// Slot of each window landmark in the marginalized block, or
+    /// `usize::MAX` when it is kept.
+    lm_slot: Vec<usize>,
+    chol: Cholesky<f64>,
+    inverse: InverseScratch<f64>,
+    m_inv: DMat,
+    w_m_inv: DMat,
+    w_t: DMat,
+    prod: DMat,
+}
+
+impl Default for MargScratch {
+    fn default() -> Self {
+        Self {
+            u: DMat::zeros(0, 0),
+            w: DMat::zeros(0, 0),
+            v: DMat::zeros(0, 0),
+            g: DVec::zeros(0),
+            lm_slot: Vec::new(),
+            chol: Cholesky::default(),
+            inverse: InverseScratch::default(),
+            m_inv: DMat::zeros(0, 0),
+            w_m_inv: DMat::zeros(0, 0),
+            w_t: DMat::zeros(0, 0),
+            prod: DMat::zeros(0, 0),
+        }
+    }
+}
+
+/// Routes writes of the local information matrix `H` into its blocks.
+///
+/// Each block element receives exactly the additions, in the same order,
+/// that the same element of a dense `H` would — so the blocks are
+/// bit-identical to partitioning a dense assembly.
+struct Blocks<'a> {
+    u: &'a mut DMat,
+    w: &'a mut DMat,
+    v: &'a mut DMat,
+    /// Marginalized dimension `am + 15`.
+    md: usize,
+}
+
+impl Blocks<'_> {
+    fn add(&mut self, i: usize, j: usize, x: f64) {
+        let md = self.md;
+        match (i < md, j < md) {
+            (true, true) => self.u.add_at(i, j, x),
+            (false, true) => self.w.add_at(i - md, j, x),
+            (false, false) => self.v.add_at(i - md, j - md, x),
+            // The `Wᵀ` block: never read.
+            (true, false) => {}
+        }
+    }
+}
+
+fn marginalize(
+    s: &mut MargScratch,
+    pool: &archytas_par::Pool,
     window: &SlidingWindow,
     weights: &FactorWeights,
     prior: Option<&Prior>,
@@ -81,32 +182,40 @@ fn try_marginalize_oldest_impl(
         .filter(|&l| window.landmarks[l].anchor == 0)
         .collect();
     let am = marg_landmarks.len();
-    let lm_slot: std::collections::HashMap<usize, usize> = marg_landmarks
-        .iter()
-        .enumerate()
-        .map(|(slot, &l)| (l, slot))
-        .collect();
+    s.lm_slot.clear();
+    s.lm_slot.resize(window.landmarks.len(), usize::MAX);
+    for (slot, &l) in marg_landmarks.iter().enumerate() {
+        s.lm_slot[l] = slot;
+    }
 
-    // Local ordering: [marginalized landmarks (am) | kf0 (15) | kept keyframes ((b−1)·15)].
-    let marg_dim = am + STATE_DIM;
-    let dim = marg_dim + (b - 1) * STATE_DIM;
+    let md = am + STATE_DIM;
+    let keep = (b - 1) * STATE_DIM;
     let kf_off = |k: usize| -> usize {
         if k == 0 {
             am
         } else {
-            marg_dim + (k - 1) * STATE_DIM
+            md + (k - 1) * STATE_DIM
         }
     };
-
-    let mut h = DMat::zeros(dim, dim);
-    let mut g = DVec::zeros(dim);
+    s.u.reset_zeros(md, md);
+    s.w.reset_zeros(keep, md);
+    s.v.reset_zeros(keep, keep);
+    s.g.resize_fill(md + keep, 0.0);
+    let mut h = Blocks {
+        u: &mut s.u,
+        w: &mut s.w,
+        v: &mut s.v,
+        md,
+    };
+    let g = &mut s.g;
 
     // --- visual factors of marginalized landmarks ---
     let wv2 = weights.visual * weights.visual;
     for obs in &window.observations {
-        let Some(&slot) = lm_slot.get(&obs.landmark) else {
+        let slot = s.lm_slot[obs.landmark];
+        if slot == usize::MAX {
             continue;
-        };
+        }
         let lm = &window.landmarks[obs.landmark];
         if obs.keyframe == lm.anchor {
             continue;
@@ -126,7 +235,6 @@ fn try_marginalize_oldest_impl(
             None => wv2,
             Some(_) => wv2 * weights.visual_robust_scale(ev.residual[0], ev.residual[1]),
         };
-        let col_rho = slot;
         let col_anchor = kf_off(0);
         let col_obs = kf_off(obs.keyframe);
         for r in 0..2 {
@@ -136,7 +244,7 @@ fn try_marginalize_oldest_impl(
             // per-row heap allocation.
             let mut cols = [0usize; 13];
             let mut vals = [0f64; 13];
-            cols[0] = col_rho;
+            cols[0] = slot;
             vals[0] = ev.j_rho[r];
             for c in 0..6 {
                 cols[1 + 2 * c] = col_anchor + c;
@@ -144,7 +252,7 @@ fn try_marginalize_oldest_impl(
                 cols[2 + 2 * c] = col_obs + c;
                 vals[2 + 2 * c] = ev.j_obs[r][c];
             }
-            accumulate(&mut h, &mut g, &cols, &vals, e, w2);
+            accumulate(&mut h, g, &cols, &vals, e, w2);
         }
     }
 
@@ -168,23 +276,25 @@ fn try_marginalize_oldest_impl(
                 cols[2 * c + 1] = off_j + c;
                 vals[2 * c + 1] = ev.j_j[r][c];
             }
-            accumulate(&mut h, &mut g, &cols, &vals, e, w * w);
+            accumulate(&mut h, g, &cols, &vals, e, w * w);
         }
     }
 
     // --- previous prior (touches kf0 and the kept keyframes) ---
     if let Some(p) = prior {
-        // The prior's own ordering is [kf0, kf1, ...]; shift past the
-        // landmark slots of the local marginalization ordering.
+        // The prior's own ordering is [kf0, kf1, ...]: its first 15 rows and
+        // columns land in `U`/`W` at `am`, the rest in `V` (and `Wᵀ`, which
+        // is skipped).
         let hp = p.information();
         let jt_r = p.gradient(window);
-        let pdim = p.dim();
-        for i in 0..pdim {
-            let gi = map_prior_index(i, am);
-            g[gi] -= jt_r[i];
-            for j in 0..pdim {
-                let gj = map_prior_index(j, am);
-                h.add_at(gi, gj, hp.get(i, j));
+        for i in 0..p.dim() {
+            g[am + i] -= jt_r[i];
+            let (to_marg, to_keep) = hp.row(i).split_at(STATE_DIM);
+            if i < STATE_DIM {
+                add_row(&mut h.u.row_mut(am + i)[am..], to_marg);
+            } else {
+                add_row(&mut h.w.row_mut(i - STATE_DIM)[am..], to_marg);
+                add_row(h.v.row_mut(i - STATE_DIM), to_keep);
             }
         }
     } else {
@@ -192,36 +302,39 @@ fn try_marginalize_oldest_impl(
         let off = kf_off(0);
         for c in 0..STATE_DIM {
             let w2 = if c < 6 { 1e8 } else { 1e2 };
-            h.add_at(off + c, off + c, w2);
+            h.u.add_at(off + c, off + c, w2);
         }
     }
 
     // --- Schur complement: keep the trailing (b−1)·15 block ---
-    // The `expect`s below are shape invariants of the local ordering built
-    // above (programmer errors); the data-dependent failures are the
-    // factorizations, which return `Err`.
-    let spec = BlockSpec::new(marg_dim, dim).expect("valid split");
-    let blocked = Blocked2x2::partition(&h, spec).expect("partition");
-    let (bx, by) = archytas_math::split_vector(&g, spec).expect("split");
     // Regularize the marginalized block before inversion (it can be gauge
     // deficient when landmarks have few observations). `M` is factored once
-    // and the inverse shared between the Schur complement and the reduced
-    // right-hand side — historically `dense_schur_complement` and the `rp`
-    // computation each ran their own O(n³) factorization of the same matrix.
-    let m = blocked.u.add_diagonal(1e-9);
-    let m_inv = Cholesky::factor(&m)?.inverse();
-    let lm_inv = blocked
-        .w
-        .try_mul(&m_inv)
+    // and its inverse shared between the Schur complement and the reduced
+    // right-hand side. Its landmark block is diagonal (paper Sec. 3.2.3: the
+    // M-DFG picks the blocking with a diagonal `M₁₁`), so the landmark rows
+    // of `L` are zero left of the diagonal and the inverse skips them.
+    for i in 0..md {
+        s.u.add_at(i, i, 1e-9);
+    }
+    s.chol.refactor_with(&s.u, pool)?;
+    s.chol
+        .inverse_skipping_zeros_into(&mut s.m_inv, &mut s.inverse);
+    // The `expect`s are shape invariants of the blocks sized above.
+    s.w.try_mul_into(&s.m_inv, &mut s.w_m_inv, pool)
         .expect("marginal block shapes agree");
-    let prod = lm_inv
-        .try_mul(&blocked.w.transpose())
+    s.w.transpose_into(&mut s.w_t);
+    s.w_m_inv
+        .try_mul_into(&s.w_t, &mut s.prod, pool)
         .expect("marginal block shapes agree");
-    let hp = &blocked.v - &prod;
-    let rp = &by - &blocked.w.mat_vec(&m_inv.mat_vec(&bx));
+    for (v, &p) in s.v.as_mut_slice().iter_mut().zip(s.prod.as_slice()) {
+        *v -= p;
+    }
+    let bx = s.g.segment(0, md);
+    let by = s.g.segment(md, keep);
+    let rp = &by - &s.w.mat_vec(&s.m_inv.mat_vec(&bx));
 
     let lin_states = window.keyframes[1..].to_vec();
-    let new_prior = Prior::try_from_information(&hp, &rp, lin_states, 1e-9)?;
+    let new_prior = Prior::try_from_information_with(&s.v, &rp, lin_states, 1e-9, pool)?;
 
     // --- shrink the window ---
     let window_out = shrink_window(window, &marg_landmarks);
@@ -231,6 +344,13 @@ fn try_marginalize_oldest_impl(
         prior: new_prior,
         marginalized_landmarks: am,
     })
+}
+
+/// `dst += src` elementwise (the dense scatter's `add_at`, one row at a time).
+fn add_row(dst: &mut [f64], src: &[f64]) {
+    for (d, &x) in dst.iter_mut().zip(src) {
+        *d += x;
+    }
 }
 
 /// Shrinks the window without computing a prior: keyframe 0 and its anchored
@@ -256,13 +376,7 @@ pub fn drop_oldest(window: &SlidingWindow) -> (SlidingWindow, usize) {
     (shrink_window(window, &marg_landmarks), am)
 }
 
-/// Maps an index of the prior's ordering (`[kf0 | kf1..]`) into the local
-/// marginalization ordering (`[lms | kf0 | kf1..]`).
-fn map_prior_index(i: usize, am: usize) -> usize {
-    am + i
-}
-
-fn accumulate(h: &mut DMat, g: &mut DVec, cols: &[usize], vals: &[f64], e: f64, w2: f64) {
+fn accumulate(h: &mut Blocks, g: &mut DVec, cols: &[usize], vals: &[f64], e: f64, w2: f64) {
     for (k, (&ci, &vi)) in cols.iter().zip(vals).enumerate() {
         if vi == 0.0 {
             continue;
@@ -273,9 +387,9 @@ fn accumulate(h: &mut DMat, g: &mut DVec, cols: &[usize], vals: &[f64], e: f64, 
                 continue;
             }
             let contrib = w2 * vi * vj;
-            h.add_at(ci, cj, contrib);
+            h.add(ci, cj, contrib);
             if ci != cj {
-                h.add_at(cj, ci, contrib);
+                h.add(cj, ci, contrib);
             }
         }
     }

@@ -9,7 +9,8 @@
 
 use crate::solver::SolveError;
 use crate::window::{KeyframeState, SlidingWindow, STATE_DIM};
-use archytas_math::{DMat, DVec};
+use archytas_math::{Cholesky, DMat, DVec};
+use archytas_par::Pool;
 
 /// Prior over the keyframe states of a window, produced by marginalizing the
 /// previous window's oldest keyframe and its landmarks.
@@ -19,6 +20,9 @@ pub struct Prior {
     jacobian: DMat,
     /// Residual at the linearization point (`r0`, with `Jᵀr0 = −rp`).
     residual0: DVec,
+    /// `Hp = JᵀJ`, formed once here: every LM iteration's assembly and the
+    /// next marginalization read it.
+    information: DMat,
     /// Keyframe states at which the prior was linearized, oldest first.
     lin_states: Vec<KeyframeState>,
 }
@@ -58,6 +62,18 @@ impl Prior {
         lin_states: Vec<KeyframeState>,
         epsilon: f64,
     ) -> Result<Self, SolveError> {
+        Self::try_from_information_with(hp, rp, lin_states, epsilon, &Pool::global())
+    }
+
+    /// [`Prior::try_from_information`] with its factorization and `JᵀJ`
+    /// dispatched on `pool` (dispatch changes timing, never bits).
+    pub(crate) fn try_from_information_with(
+        hp: &DMat,
+        rp: &DVec,
+        lin_states: Vec<KeyframeState>,
+        epsilon: f64,
+        pool: &Pool,
+    ) -> Result<Self, SolveError> {
         let dim = STATE_DIM * lin_states.len();
         assert_eq!(hp.rows(), dim, "prior: Hp dimension mismatch");
         assert_eq!(rp.len(), dim, "prior: rp dimension mismatch");
@@ -73,9 +89,9 @@ impl Prior {
         if !scale.is_finite() {
             return Err(SolveError::NonFinite);
         }
-        let l = loop {
-            match hp.add_diagonal(eps).cholesky() {
-                Ok(chol) => break chol.into_l(),
+        let chol = loop {
+            match Cholesky::factor_counting_with(&hp.add_diagonal(eps), pool) {
+                Ok((chol, _)) => break chol,
                 Err(e) => {
                     eps *= 100.0;
                     if eps > scale * 10.0 {
@@ -85,11 +101,13 @@ impl Prior {
             }
         };
         // J = Lᵀ, r0 chosen so that Jᵀ·r0 = −rp  ⇒  L·r0 = −rp.
-        let jacobian = l.transpose();
-        let residual0 = archytas_math::solve_lower(&l, &(-rp));
+        let residual0 = archytas_math::solve_lower(chol.l(), &(-rp));
+        let jacobian = chol.into_lt();
+        let information = jacobian.gram_with(pool);
         Ok(Self {
             jacobian,
             residual0,
+            information,
             lin_states,
         })
     }
@@ -104,10 +122,21 @@ impl Prior {
         self.jacobian.cols()
     }
 
-    /// Information matrix `Hp = JᵀJ` (dense; mainly for tests and for the
-    /// hardware functional model, which consumes the information form).
-    pub fn information(&self) -> DMat {
-        self.jacobian.gram()
+    /// Square-root information `J` (upper triangular, `JᵀJ = Hp`).
+    pub fn jacobian(&self) -> &DMat {
+        &self.jacobian
+    }
+
+    /// Residual `r0` at the linearization point.
+    pub fn residual0(&self) -> &DVec {
+        &self.residual0
+    }
+
+    /// Information matrix `Hp = JᵀJ`, formed once when the prior was built.
+    /// Read by the assembler on every LM iteration and by the next
+    /// marginalization. The hardware model does not call it.
+    pub fn information(&self) -> &DMat {
+        &self.information
     }
 
     /// Tangent of the window's current keyframes relative to the
@@ -170,7 +199,7 @@ impl Prior {
     ) -> f64 {
         let off = window.kf_offset(0);
         let r = self.residual(window);
-        let h = self.information();
+        let h = &self.information;
         let grad = self.jacobian.transpose_mat_vec(&r);
         for i in 0..self.dim() {
             sink.sub_b(off + i, grad[i]);
@@ -209,7 +238,7 @@ mod tests {
         let hp = spd_info(STATE_DIM);
         let rp = DVec::from((0..STATE_DIM).map(|i| i as f64 * 0.01).collect::<Vec<_>>());
         let prior = Prior::from_information(&hp, &rp, lin, 0.0);
-        assert!((&prior.information() - &hp).max_abs() < 1e-9);
+        assert!((prior.information() - &hp).max_abs() < 1e-9);
     }
 
     #[test]

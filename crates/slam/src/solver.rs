@@ -16,6 +16,7 @@
 //!   proven bit-identical to, not a served path.
 
 use crate::factors::FactorWeights;
+use crate::marginalization::MargScratch;
 use crate::prior::Prior;
 use crate::problem::{
     apply_increment, build_block_normal_equations, build_normal_equations, evaluate_cost,
@@ -245,7 +246,8 @@ pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 /// Reusable buffers for the LM loop: the block-structured normal equations
 /// (f64, plus their f32 image for the single-precision step), the
 /// Schur-elimination scratch of both widths, the increment vector, the
-/// candidate window of the step-acceptance test, and the dispatch pool.
+/// candidate window of the step-acceptance test, the marginalization's
+/// blocks ([`crate::try_marginalize_oldest_in`]), and the dispatch pool.
 ///
 /// Allocate once and pass to [`solve_in_workspace`] or
 /// [`solve_f32_in_workspace`] for every window — all buffers grow to the
@@ -257,6 +259,7 @@ pub struct SolverWorkspace {
     lin: LinearBuffers,
     delta: DVec,
     candidate: SlidingWindow,
+    marg: MargScratch,
 }
 
 /// The linear-step half of a [`SolverWorkspace`]: everything a
@@ -302,6 +305,7 @@ impl SolverWorkspace {
             },
             delta: DVec::zeros(0),
             candidate: SlidingWindow::new(),
+            marg: MargScratch::default(),
         }
     }
 
@@ -319,6 +323,15 @@ impl SolverWorkspace {
     /// timing, never bits.
     pub fn recalibrate(&mut self) {
         self.lin.pool = Some(Pool::calibrated());
+    }
+
+    /// The dispatch pool, resolved now if no solve has resolved it yet.
+    pub(crate) fn resolve_pool(&mut self) -> Pool {
+        self.lin.resolve_pool()
+    }
+
+    pub(crate) fn marg_scratch(&mut self) -> &mut MargScratch {
+        &mut self.marg
     }
 }
 
@@ -513,6 +526,7 @@ fn lm_loop<S: LinearStep>(
         lin,
         delta,
         candidate,
+        ..
     } = ws;
     let mut lambda = config.initial_lambda;
     let mut report = SolveReport {
