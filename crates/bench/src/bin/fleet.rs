@@ -99,11 +99,7 @@ fn main() {
         .uint("quarantined", report.quarantined_sessions as u64)
         .uint("session_restarts", report.session_restarts as u64)
         .uint("deadline_misses", report.deadline_misses as u64)
-        .uint("steals", report.scheduler.steals as u64)
-        .uint("shard_steals", report.scheduler.shard_steals as u64)
-        .uint("cross_steals", report.scheduler.cross_steals as u64)
         .uint("contended_probes", report.scheduler.contended_probes as u64)
-        .uint("shards", report.scheduler.shards as u64)
         .uint(
             "workspaces_created",
             report.scheduler.scratch.created as u64,

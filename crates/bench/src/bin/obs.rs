@@ -265,7 +265,6 @@ fn main() {
         .uint("quarantined", report.quarantined_sessions as u64)
         .uint("session_restarts", report.session_restarts as u64)
         .uint("deadline_misses", report.deadline_misses as u64)
-        .uint("steals", report.scheduler.steals as u64)
         .uint("deferrals", report.scheduler.deferrals as u64)
         .uint("quanta", report.scheduler.quanta as u64)
         .uint("resurrections", report.scheduler.resurrections as u64)

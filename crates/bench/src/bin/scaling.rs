@@ -1,13 +1,14 @@
-//! Fleet scaling-curve bench: sweeps workers × sessions on the sharded
+//! Fleet scaling-curve bench: sweeps workers × sessions on the fleet
 //! scheduler and proves the 1000-session story two ways.
 //!
 //! * **Sweep mode** (default): runs every point of
 //!   `{1,2,4,8} workers × {8,64,512,2000} sessions` and emits one
 //!   `SCALEJSON {...}` line per point — wall-clock throughput, pooled
-//!   p50/p95/p99 frame latency, shard/steal/contention counters.
-//!   `scripts/fleet_smoke.sh` folds these into `BENCH_fleet.json` and
-//!   gates per-worker efficiency per point; `scripts/perf_gate.sh`
-//!   regresses them against the committed baseline sweep point by point.
+//!   p50/p95/p99 frame latency, scheduler-lock contention and deferral
+//!   counters. `scripts/fleet_smoke.sh` folds these into
+//!   `BENCH_fleet.json` and gates per-worker efficiency per point;
+//!   `scripts/perf_gate.sh` regresses them against the committed
+//!   baseline sweep point by point.
 //! * **Soak mode** (`--soak`): a long-haul churn schedule — staggered
 //!   joins, early leavers, mid-run priority flips, a restarted panic and a
 //!   terminal quarantine — replayed at pools {1,2,8}. Every session must
@@ -68,10 +69,6 @@ fn run_sweep_point(workers: usize, sessions: usize, seconds: f64, cpus: usize) {
         .float("p95_us", report.latency.p95_ns as f64 / 1_000.0, 1)
         .float("p99_us", report.latency.p99_ns as f64 / 1_000.0, 1)
         .uint("quanta", report.scheduler.quanta as u64)
-        .uint("shards", report.scheduler.shards as u64)
-        .uint("steals", report.scheduler.steals as u64)
-        .uint("shard_steals", report.scheduler.shard_steals as u64)
-        .uint("cross_steals", report.scheduler.cross_steals as u64)
         .uint("contended_probes", report.scheduler.contended_probes as u64)
         .uint("deferrals", report.scheduler.deferrals as u64)
         .uint(

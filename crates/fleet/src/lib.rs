@@ -2,19 +2,19 @@
 //! accelerator pool.
 //!
 //! The paper generates one accelerator per vehicle; this crate serves a
-//! *fleet*. `N` independent vehicle sessions are admitted, scheduled onto
-//! a sharded work-stealing worker pool, and throttled by bounded
-//! backpressure. Per-session state is deliberately small — the estimator
-//! `Core` (a [`archytas_dataset::VioPipeline`] shell plus the private
-//! iteration counter + watchdog of its [`archytas_core::RuntimeSystem`]):
-//! the frame stream is materialized lazily at first activation, solver
-//! scratch is owned per worker (one workspace per worker thread), and
-//! all read-only derived state is shared fleet-wide with exactly-once
-//! fill semantics — the accelerator latency/energy model
-//! ([`archytas_hw::CachedAcceleratorModel`]), the gating-LUT cache
-//! ([`archytas_core::GatingCache`]) and the iteration policy. That split
-//! is what makes 1000-session fleets cheap: admission costs a `Core`, not
-//! a sequence replay plus a ~1 MB solver workspace.
+//! *fleet*. `N` independent vehicle sessions are admitted, time-sliced over
+//! a few worker threads that share one locked set of queues, and throttled
+//! by bounded backpressure. Per-session state is deliberately small — the
+//! estimator `Core` (a [`archytas_dataset::VioPipeline`] shell plus the
+//! private iteration counter + watchdog of its
+//! [`archytas_core::RuntimeSystem`]): the frame stream is materialized
+//! lazily at first activation, solver scratch is owned per worker (one
+//! workspace per worker thread), and all read-only derived state is shared
+//! fleet-wide with exactly-once fill semantics — the accelerator
+//! latency/energy model ([`archytas_hw::CachedAcceleratorModel`]), the
+//! gating-LUT cache ([`archytas_core::GatingCache`]) and the iteration
+//! policy. That split is what makes 1000-session fleets cheap: admission
+//! costs a `Core`, not a sequence replay plus a ~1 MB solver workspace.
 //!
 //! **The hard contract:** every session's output is bitwise identical to
 //! running that session alone, serially, at any pool size and any
@@ -105,16 +105,10 @@ pub struct FleetConfig {
     pub defer_watermark: usize,
     /// Frames one scheduler quantum processes before requeueing.
     pub frames_per_quantum: usize,
-    /// Workers per scheduler shard (each shard has its own activation
-    /// injector and its workers steal within the shard before crossing).
-    /// `0` selects the default (4).
-    pub shard_size: usize,
     /// Step-deadline policy (logical frame-count clock by default).
     pub deadline: DeadlinePolicy,
     /// Restart ladder for quarantined sessions.
     pub restart: RestartPolicy,
-    /// Windows between session checkpoints (restart granularity).
-    pub checkpoint_interval: usize,
 }
 
 impl Default for FleetConfig {
@@ -129,10 +123,8 @@ impl Default for FleetConfig {
             power_envelope_w: f64::INFINITY,
             defer_watermark: usize::MAX,
             frames_per_quantum: 4,
-            shard_size: 0,
             deadline: DeadlinePolicy::default(),
             restart: RestartPolicy::default(),
-            checkpoint_interval: 8,
         }
     }
 }
@@ -195,7 +187,7 @@ pub struct FleetReport {
     /// over total modelled busy time (the Eq. 17 gated power averaged over
     /// every served window).
     pub fleet_power_w: f64,
-    /// Work-stealing / backpressure counters.
+    /// Scheduling, backpressure and scheduler-lock contention counters.
     pub scheduler: SchedulerStats,
 }
 
@@ -225,18 +217,7 @@ pub fn run_fleet(specs: &[SessionSpec], config: &FleetConfig) -> FleetReport {
     let arrival: Vec<usize> = specs.iter().map(|s| s.arrival_round).collect();
 
     let started = Instant::now();
-    let (reports, stats) = scheduler::run(
-        states,
-        defer_at_start,
-        arrival,
-        &scheduler::SchedulerConfig {
-            threads,
-            max_active: config.max_active,
-            frames_per_quantum: config.frames_per_quantum,
-            defer_watermark: config.defer_watermark,
-            shard_size: config.shard_size,
-        },
-    );
+    let (reports, stats) = scheduler::run(states, defer_at_start, arrival, threads, config);
     let serving_wall_s = started.elapsed().as_secs_f64();
 
     let sessions: Vec<SessionReport> = reports

@@ -1,111 +1,62 @@
-//! The fleet scheduler: a sharded work-stealing pool that time-slices many
-//! sessions over a few worker threads.
+//! The fleet scheduler: time-slices many sessions over a few worker
+//! threads through one locked set of queues.
 //!
-//! # Sharding
-//!
-//! Workers are grouped into **shards** of [`DEFAULT_SHARD_SIZE`] (config
-//! overridable). Each shard owns its own activation injector, and a worker
-//! looks for work close to home first — its own deque, then its shard —
-//! before crossing shards. One global `Mutex<VecDeque>` injector was fine
-//! for 8 sessions; at 1000-session scale every activation and every
-//! overflow pop would serialize the whole pool on one lock. Sharding keeps
-//! the common path (local deque, shard injector) contended only by
-//! `shard_size` workers, and steal probes use `try_lock` so a busy victim
-//! costs a counter bump, not a convoy. The canonical pop order lives on
-//! [`acquire`] — the *only* statement of it; everything else links here.
+//! Every queue and count lives in one [`Queues`] behind one `Mutex`. A
+//! worker takes that lock once per quantum — [`Queues::pass`] is the only
+//! statement of what it does there — and runs the quantum outside it. A
+//! worker *holds* the session it just ran and runs it again until the
+//! session finishes, fails (restart ladder or terminal quarantine) or is
+//! deferred by backpressure, so sessions never migrate between workers.
 //!
 //! # Why any schedule produces the same bits
 //!
-//! A session index lives in **exactly one** place at a time — one worker's
-//! local deque, a shard injector, the deferred queue, the resurrect queue,
-//! or held by the worker currently executing a quantum. Workers therefore
-//! never run two quanta of the same session concurrently, and a session's
-//! frames are processed strictly in order. Since a quantum is a pure
-//! function of the session's own state (sessions share only immutable
-//! caches, and each worker's solver scratch is rewritten before it
-//! is read), the stream of per-session results is independent of which
-//! worker ran which quantum, of steal order, of shard count, and of the
-//! pool size. Scheduling decides only *interleaving*, and interleaving is
-//! unobservable to a session.
-//!
-//! # Backpressure
-//!
-//! When the count of runnable sessions reaches `defer_watermark`, workers
-//! park `Low`-priority sessions on a deferred queue instead of requeueing
-//! them; they resume (FIFO) as soon as the runnable count drops below the
-//! resume watermark. Deferral changes completion *order*, never outputs,
-//! and a deferred session can only wait while other work exists — the pool
-//! never idles with a non-empty deferred queue.
-//!
-//! # Churn
-//!
-//! A session whose spec carries a future `arrival_round` sits in the
-//! admission queue until the executed-quanta clock reaches it — the same
-//! deterministic logical clock the restart ladder's backoff uses. If every
-//! remaining session is parked behind a future logical time, the earliest
-//! one is fast-forwarded so the pool cannot idle forever (timing-only,
-//! contract-safe).
-//!
-//! # Fault isolation
-//!
-//! A quantum whose step fails (panic, deadline quarantine — the catch
-//! happens *inside* [`SessionState::step_guarded`], under the slot lock,
-//! so no `Mutex` is ever poisoned) consults the restart ladder. With
-//! budget left, the session parks on the **resurrect queue** until its
-//! backoff expires, then re-enters through the normal admission queue.
-//! Without budget, the session is terminally quarantined: its slot is
-//! reaped exactly like a completion, so neighbors keep their workers and
-//! their bits.
+//! A session index lives in **exactly one** place at a time — the
+//! admission, ready, deferred or resurrect queue, or one worker's held
+//! slot. Workers therefore never run two quanta of the same session
+//! concurrently, and a session's frames are processed strictly in order.
+//! Since a quantum is a pure function of the session's own state (sessions
+//! share only immutable caches, and each worker's solver scratch is
+//! rewritten before it is read), the stream of per-session results is
+//! independent of which worker ran which quantum and of the pool size.
+//! Scheduling decides only *interleaving*, and interleaving is
+//! unobservable to a session. Arrival rounds and restart backoffs run on
+//! the same deterministic logical clock: executed quanta.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use archytas_slam::SolverWorkspace;
 
 use crate::session::{Priority, SessionReport, SessionState, StepOutcome};
+use crate::FleetConfig;
 
-/// Workers per shard when the config does not pin one (`shard_size == 0`).
-/// Four keeps a shard's queues contended by at most four threads while
-/// still giving within-shard stealing enough victims to balance load.
-pub(crate) const DEFAULT_SHARD_SIZE: usize = 4;
-
-/// Knobs the scheduler needs (a subset of [`crate::FleetConfig`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SchedulerConfig {
-    pub threads: usize,
-    pub max_active: usize,
-    pub frames_per_quantum: usize,
-    pub defer_watermark: usize,
-    /// Workers per shard; `0` selects [`DEFAULT_SHARD_SIZE`].
-    pub shard_size: usize,
-}
+/// Session steps catch their own panics, so a fleet lock is poisoned only
+/// by a scheduler bug.
+const POISONED: &str = "fleet lock poisoned by a scheduler panic";
 
 /// Counters describing how the run was scheduled (timing-dependent;
 /// excluded from the determinism contract).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerStats {
-    /// Quanta stolen from another worker's deque (shard + cross-shard).
+    /// Always 0: sessions never migrate between workers; kept for the
+    /// benchmark's counter schema.
     pub steals: usize,
-    /// Steals from a sibling within the thief's own shard.
+    /// Always 0 (see [`SchedulerStats::steals`]).
     pub shard_steals: usize,
-    /// Steals that had to cross a shard boundary (every queue in the
-    /// thief's shard was dry).
+    /// Always 0 (see [`SchedulerStats::steals`]).
     pub cross_steals: usize,
-    /// Steal/cross-injector probes skipped because the victim's lock was
-    /// busy (`try_lock` miss) — the contention the sharding absorbs.
+    /// Scheduler-lock acquisitions that found the lock held (a `try_lock`
+    /// miss, then a blocking `lock`).
     pub contended_probes: usize,
     /// Times a `Low` session was parked on the deferred queue.
     pub deferrals: usize,
-    /// Quanta executed in total.
+    /// Quanta executed in total — the scheduler's logical clock.
     pub quanta: usize,
     /// Sessions parked on the resurrect queue (restart ladder).
     pub resurrections: usize,
-    /// Sessions whose *start* was deferred by the power envelope: on first
-    /// activation they park on the deferred queue instead of an injector.
+    /// Sessions whose *start* the power envelope deferred: their first
+    /// activation parks on the deferred queue, not the ready queue.
     pub envelope_deferrals: usize,
-    /// Number of injector shards the pool ran with.
-    pub shards: usize,
     /// Solver-scratch traffic (checkouts / workspaces ever created).
     pub scratch: ScratchStats,
 }
@@ -119,565 +70,456 @@ pub struct ScratchStats {
     pub created: usize,
 }
 
-/// What one executed quantum decided about its session.
-enum QuantumVerdict {
-    /// More frames remain; requeue.
-    Requeue,
-    /// The session completed every frame.
-    Done,
-    /// The session failed (panic or deadline quarantine).
-    Failed,
+/// What the quantum a worker just ran decided about its session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Frames remain; `low` marks a `Low`-priority session, which
+    /// backpressure may defer.
+    Continue { low: bool },
+    /// The session completed or was terminally quarantined; its report is
+    /// already written.
+    Finished,
+    /// The session failed and the restart ladder revives it after
+    /// `backoff` quanta.
+    Restart { backoff: usize },
 }
 
-/// One injector shard: the activation/overflow queue shared by the
-/// `shard_size` workers of that shard.
-struct Shard {
-    injector: Mutex<VecDeque<usize>>,
+/// What a worker does after its pass under the scheduler lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Run one quantum of this session.
+    Run(usize),
+    /// Nothing is runnable right now.
+    Idle,
+    /// Every admitted session has finished.
+    Exit,
+}
+
+/// Every scheduling queue and count, behind the one scheduler lock.
+#[derive(Debug, Default)]
+struct Queues {
+    /// Admitted sessions not yet activated (FIFO among the arrived).
+    waiting: VecDeque<usize>,
+    /// Per-slot arrival round on the quanta clock; a session is
+    /// admission-eligible once the clock reaches it.
+    arrival: Vec<usize>,
+    /// One-shot per-slot flag: the power envelope deferred this session's
+    /// start, so its *first* activation routes to the deferred queue. The
+    /// flag clears on use — a later restart re-enters like anyone else.
+    defer_at_start: Vec<bool>,
+    /// Activated sessions no worker holds.
+    ready: VecDeque<usize>,
+    /// Backpressured `Low` sessions and envelope-deferred starts.
+    deferred: VecDeque<usize>,
+    /// Failed sessions awaiting restart: `(slot, ready_at_quanta)`.
+    resurrect: Vec<(usize, usize)>,
+    /// Sessions activated and unfinished: held, ready or deferred.
+    active: usize,
+    /// Admitted sessions not yet finished (workers exit at zero).
+    live: usize,
+    /// Every counter but `scratch`; `stats.quanta` is the logical clock.
+    stats: SchedulerStats,
+}
+
+impl Queues {
+    fn new(order: VecDeque<usize>, arrival: Vec<usize>, defer_at_start: Vec<bool>) -> Self {
+        Self {
+            live: order.len(),
+            waiting: order,
+            arrival,
+            defer_at_start,
+            ..Self::default()
+        }
+    }
+
+    /// A worker's whole turn under the lock, in order: settle the quantum
+    /// it just ran (`last`), promote due resurrections, admit up to
+    /// `max_active`, then pick — the held session if it stays held, else
+    /// [`Queues::next`]. With nothing runnable it fast-forwards instead.
+    fn pass(&mut self, last: Option<(usize, Verdict)>, cfg: &FleetConfig) -> Pass {
+        let held = last.and_then(|(i, v)| self.settle(i, v, cfg.defer_watermark).then_some(i));
+        if self.live == 0 {
+            return Pass::Exit;
+        }
+        self.promote_resurrections();
+        self.admit(cfg.max_active);
+        let Some(i) = held.or_else(|| self.next()) else {
+            self.fast_forward();
+            return Pass::Idle;
+        };
+        self.stats.quanta += 1;
+        Pass::Run(i)
+    }
+
+    /// Applies a quantum's verdict on session `i`; returns whether the
+    /// worker keeps holding it. Backpressure: a held `Low` session parks on
+    /// the deferred queue once the ready queue holds `defer_watermark`
+    /// sessions. Deferral changes completion *order*, never outputs.
+    fn settle(&mut self, i: usize, verdict: Verdict, defer_watermark: usize) -> bool {
+        match verdict {
+            Verdict::Continue { low } if !low || self.ready.len() < defer_watermark => return true,
+            Verdict::Continue { .. } => {
+                self.deferred.push_back(i);
+                self.stats.deferrals += 1;
+            }
+            Verdict::Finished => {
+                self.active -= 1;
+                self.live -= 1;
+            }
+            Verdict::Restart { backoff } => {
+                // The slot keeps the (checkpoint-restored) state; it
+                // re-enters through admission once the backoff expires.
+                self.resurrect.push((i, self.stats.quanta + backoff));
+                self.stats.resurrections += 1;
+                self.active -= 1;
+            }
+        }
+        false
+    }
+
+    /// Moves restart-ladder sessions whose backoff has expired back onto
+    /// the admission queue, so a revived session re-enters through the
+    /// same capacity gate as a new arrival.
+    fn promote_resurrections(&mut self) {
+        let now = self.stats.quanta;
+        let waiting = &mut self.waiting;
+        self.resurrect.retain(|&(i, ready_at)| {
+            if ready_at <= now {
+                waiting.push_back(i);
+            }
+            ready_at > now
+        });
+    }
+
+    /// Activates arrival-eligible waiting sessions onto the ready queue
+    /// while the active set has capacity, admitting past any session that
+    /// has not arrived yet. An envelope-deferred session activates into
+    /// the *deferred* queue instead (its one-shot flag clears here): it
+    /// consumes an active slot but starts only once the ready queue drains.
+    fn admit(&mut self, max_active: usize) {
+        let mut idx = 0;
+        while idx < self.waiting.len() && self.active < max_active.max(1) {
+            let i = self.waiting[idx];
+            if self.arrival[i] > self.stats.quanta {
+                idx += 1; // not yet arrived: hold, but keep admitting behind it
+                continue;
+            }
+            self.waiting.remove(idx);
+            self.active += 1;
+            if std::mem::take(&mut self.defer_at_start[i]) {
+                self.deferred.push_back(i);
+                self.stats.envelope_deferrals += 1;
+            } else {
+                self.ready.push_back(i);
+            }
+        }
+    }
+
+    /// The next session for a worker that holds none: the ready queue
+    /// first, then the deferred queue (both FIFO), so the pool never idles
+    /// with a non-empty deferred queue.
+    fn next(&mut self) -> Option<usize> {
+        self.ready.pop_front().or_else(|| self.deferred.pop_front())
+    }
+
+    /// Anti-livelock for the logical clock: the quanta clock only advances
+    /// while some session runs, so if *no* session is active and every
+    /// remaining one is parked behind a future logical time (restart
+    /// backoff or a churn arrival round), the earliest such wakeup is
+    /// fast-forwarded to now. Backoff and arrival rounds shape timing,
+    /// never outputs, so this is contract-safe.
+    fn fast_forward(&mut self) {
+        if self.active != 0 {
+            return;
+        }
+        let now = self.stats.quanta;
+        let earliest_res = self
+            .resurrect
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(slot, ready_at))| (ready_at, slot))
+            .map(|(pos, &(_, ready_at))| (ready_at, pos));
+        let earliest_arr = self.waiting.iter().map(|&i| (self.arrival[i], i)).min();
+        match (earliest_res, earliest_arr) {
+            // Earliest wakeup is a resurrection still in the future: pull it
+            // forward by re-queueing it through `waiting` (its arrival round
+            // is already <= now, so admission picks it up immediately).
+            (Some((res_at, pos)), arr)
+                if arr.is_none_or(|(arr_at, _)| res_at <= arr_at) && res_at > now =>
+            {
+                let (i, _) = self.resurrect.remove(pos);
+                self.waiting.push_back(i);
+            }
+            // Earliest wakeup is a resurrection that is already due: the next
+            // promote_resurrections pass runs it, and fast-forwarding a later
+            // arrival past it would reorder admission — do nothing.
+            (Some((res_at, _)), arr) if arr.is_none_or(|(arr_at, _)| res_at <= arr_at) => {}
+            (_, Some((arr_at, i))) if arr_at > now => self.arrival[i] = now,
+            _ => {}
+        }
+    }
 }
 
 struct Shared {
     /// Session slots, indexed like the input; `None` once finished.
     slots: Vec<Mutex<Option<SessionState>>>,
     reports: Vec<Mutex<Option<SessionReport>>>,
-    /// Admitted sessions not yet activated (admission queue, FIFO among
-    /// the arrival-eligible).
-    waiting: Mutex<VecDeque<usize>>,
-    /// Per-slot arrival round on the executed-quanta clock; a session is
-    /// admission-eligible once the clock reaches it. Atomic so the
-    /// anti-livelock fast-forward can promote one without extra locking.
-    arrival: Vec<AtomicUsize>,
-    /// Per-worker local deques.
-    locals: Vec<Mutex<VecDeque<usize>>>,
-    /// Per-shard activation/overflow injectors.
-    shards: Vec<Shard>,
-    /// Round-robin cursor distributing activations across shards.
-    next_shard: AtomicUsize,
-    /// Backpressured `Low` sessions.
-    deferred: Mutex<VecDeque<usize>>,
-    /// Failed sessions awaiting restart: `(slot, ready_at_quanta)`.
-    resurrect: Mutex<Vec<(usize, usize)>>,
-    /// One-shot per-slot flag: the power envelope deferred this session's
-    /// start, so its *first* activation routes to the deferred queue. The
-    /// flag clears on use — a later restart re-enters like anyone else.
-    defer_at_start: Vec<AtomicBool>,
-    /// Solver-scratch counters (see [`ScratchStats`]); each worker owns
-    /// its workspace, so residency is one workspace per worker.
-    scratch_created: AtomicUsize,
-    scratch_checkouts: AtomicUsize,
-    /// Effective workers per shard (for shard-membership arithmetic).
-    shard_size: usize,
-    threads: usize,
-    /// Sessions currently activated and unfinished.
-    active: AtomicUsize,
-    /// Admitted sessions not yet finished (workers exit at zero).
-    live: AtomicUsize,
-    /// Runnable sessions: enqueued in a local deque or an injector.
-    runnable: AtomicUsize,
-    shard_steals: AtomicUsize,
-    cross_steals: AtomicUsize,
-    contended_probes: AtomicUsize,
-    deferrals: AtomicUsize,
-    quanta: AtomicUsize,
-    resurrections: AtomicUsize,
-    envelope_deferrals: AtomicUsize,
+    queues: Mutex<Queues>,
 }
 
 impl Shared {
-    fn new(
-        sessions: Vec<Option<SessionState>>,
-        defer_at_start: Vec<bool>,
-        arrival: Vec<usize>,
-        order: VecDeque<usize>,
-        cfg: &SchedulerConfig,
-    ) -> Self {
-        let threads = cfg.threads.max(1);
-        let shard_size = if cfg.shard_size == 0 {
-            DEFAULT_SHARD_SIZE
-        } else {
-            cfg.shard_size
+    /// Takes the scheduler lock, counting an acquisition that found it
+    /// held.
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        match self.queues.try_lock() {
+            Ok(q) => q,
+            Err(TryLockError::WouldBlock) => {
+                let mut q = self.queues.lock().expect(POISONED);
+                q.stats.contended_probes += 1;
+                q
+            }
+            Err(TryLockError::Poisoned(e)) => panic!("poisoned scheduler lock: {e}"),
         }
-        .min(threads);
-        let num_shards = threads.div_ceil(shard_size);
-        let live = order.len();
-        let slot_count = sessions.len();
-        Self {
-            slots: sessions.into_iter().map(Mutex::new).collect(),
-            reports: (0..slot_count).map(|_| Mutex::new(None)).collect(),
-            waiting: Mutex::new(order),
-            arrival: arrival.into_iter().map(AtomicUsize::new).collect(),
-            defer_at_start: defer_at_start.into_iter().map(AtomicBool::new).collect(),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            shards: (0..num_shards)
-                .map(|_| Shard {
-                    injector: Mutex::new(VecDeque::new()),
-                })
-                .collect(),
-            next_shard: AtomicUsize::new(0),
-            deferred: Mutex::new(VecDeque::new()),
-            resurrect: Mutex::new(Vec::new()),
-            scratch_created: AtomicUsize::new(0),
-            scratch_checkouts: AtomicUsize::new(0),
-            shard_size,
-            threads,
-            active: AtomicUsize::new(0),
-            live: AtomicUsize::new(live),
-            runnable: AtomicUsize::new(0),
-            shard_steals: AtomicUsize::new(0),
-            cross_steals: AtomicUsize::new(0),
-            contended_probes: AtomicUsize::new(0),
-            deferrals: AtomicUsize::new(0),
-            quanta: AtomicUsize::new(0),
-            resurrections: AtomicUsize::new(0),
-            envelope_deferrals: AtomicUsize::new(0),
-        }
-    }
-
-    /// The shard worker `w` belongs to.
-    fn shard_of(&self, w: usize) -> usize {
-        w / self.shard_size
-    }
-
-    /// Worker indices of shard `s`.
-    fn shard_members(&self, s: usize) -> std::ops::Range<usize> {
-        let first = s * self.shard_size;
-        first..((s + 1) * self.shard_size).min(self.threads)
     }
 }
 
-/// Runs every session in `sessions` to completion and returns the reports
-/// in slot order plus scheduling counters.
+/// Runs every session in `sessions` to completion on `threads` workers and
+/// returns the reports in slot order plus scheduling counters.
 ///
 /// `defer_at_start[i]` marks slot `i` as envelope-deferred: it joins the
 /// admission queue *behind* every immediately-admitted session (in arrival
 /// order within each group — a pure function of the decision vector, so
 /// identical at every pool size) and its first activation parks on the
-/// deferred queue, resuming only once the runnable backlog has drained.
-/// `arrival[i]` is the executed-quanta round at which slot `i` becomes
-/// admission-eligible (`0` = at startup).
+/// deferred queue. `arrival[i]` is the quanta round at which slot `i`
+/// becomes admission-eligible (`0` = at startup).
 pub(crate) fn run(
     sessions: Vec<Option<SessionState>>,
     defer_at_start: Vec<bool>,
     arrival: Vec<usize>,
-    cfg: &SchedulerConfig,
+    threads: usize,
+    cfg: &FleetConfig,
 ) -> (Vec<Option<SessionReport>>, SchedulerStats) {
-    let threads = cfg.threads.max(1);
-    let live_slots: Vec<usize> = sessions
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_some().then_some(i))
+    let mut order: Vec<usize> = (0..sessions.len())
+        .filter(|&i| sessions[i].is_some())
         .collect();
-    let order: VecDeque<usize> = live_slots
-        .iter()
-        .filter(|&&i| !defer_at_start[i])
-        .chain(live_slots.iter().filter(|&&i| defer_at_start[i]))
-        .copied()
-        .collect();
-    let shared = Shared::new(sessions, defer_at_start, arrival, order, cfg);
+    order.sort_by_key(|&i| defer_at_start[i]); // stable: deferred last
+    let shared = Shared {
+        reports: sessions.iter().map(|_| Mutex::new(None)).collect(),
+        slots: sessions.into_iter().map(Mutex::new).collect(),
+        queues: Mutex::new(Queues::new(order.into(), arrival, defer_at_start)),
+    };
 
-    if threads == 1 {
+    let scratch: Vec<ScratchStats> = if threads <= 1 {
         // Serial fast path: same code, no thread spawn.
-        worker(&shared, 0, cfg);
+        vec![worker(&shared, cfg)]
     } else {
         std::thread::scope(|scope| {
-            for w in 0..threads {
-                let shared = &shared;
-                scope.spawn(move || archytas_par::run_as_worker(|| worker(shared, w, cfg)));
-            }
-        });
-    }
-
-    let shard_steals = shared.shard_steals.load(Ordering::Relaxed);
-    let cross_steals = shared.cross_steals.load(Ordering::Relaxed);
-    let stats = SchedulerStats {
-        steals: shard_steals + cross_steals,
-        shard_steals,
-        cross_steals,
-        contended_probes: shared.contended_probes.load(Ordering::Relaxed),
-        deferrals: shared.deferrals.load(Ordering::Relaxed),
-        quanta: shared.quanta.load(Ordering::Relaxed),
-        resurrections: shared.resurrections.load(Ordering::Relaxed),
-        envelope_deferrals: shared.envelope_deferrals.load(Ordering::Relaxed),
-        shards: shared.shards.len(),
-        scratch: ScratchStats {
-            checkouts: shared.scratch_checkouts.load(Ordering::Relaxed),
-            created: shared.scratch_created.load(Ordering::Relaxed),
-        },
+            let shared = &shared;
+            let handles: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(move || archytas_par::run_as_worker(|| worker(shared, cfg))))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a fleet worker panicked"))
+                .collect()
+        })
     };
+
+    let mut stats = shared.queues.into_inner().expect(POISONED).stats;
+    for s in scratch {
+        stats.scratch.checkouts += s.checkouts;
+        stats.scratch.created += s.created;
+    }
     let reports = shared
         .reports
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(|m| m.into_inner().expect(POISONED))
         .collect();
     (reports, stats)
 }
 
-/// One worker's loop.
+/// One worker's loop: a [`Queues::pass`] under the lock, then one quantum
+/// outside it. Returns the worker's scratch traffic.
 ///
-/// Sessions own no solver scratch (a grown [`SolverWorkspace`] is ~1 MB; at
-/// 1000-session scale it would dominate resident memory). Each worker owns
-/// one workspace instead, created on its first quantum, grown only by its
-/// thread and dropped by it on exit. The workspace is pure scratch (every
-/// buffer is fully rewritten before it is read), so which workspace a
-/// quantum executes with never changes the session's bits.
-///
-/// Keeping it thread-affine matters for latency: its hundreds of
-/// per-landmark block buffers never migrate between threads. A workspace
-/// handed from worker to worker would be grown (`realloc`) and finally freed
-/// by threads other than the one whose malloc arena owns it, and those
-/// cross-arena calls take the owning worker's arena lock mid-frame.
-fn worker(sh: &Shared, w: usize, cfg: &SchedulerConfig) {
+/// Each worker owns one [`SolverWorkspace`] (~1 MB grown; sessions own no
+/// scratch), created on its first quantum. It is pure scratch — every
+/// buffer is rewritten before it is read — so which workspace runs a
+/// quantum never changes bits. It stays thread-affine for latency: a
+/// workspace, or a held session's window state, handed between threads
+/// would be grown and freed by threads other than the one whose malloc
+/// arena owns it, taking that arena's lock mid-frame.
+fn worker(sh: &Shared, cfg: &FleetConfig) -> ScratchStats {
+    let mut stats = ScratchStats::default();
     let mut scratch: Option<SolverWorkspace> = None;
-    while sh.live.load(Ordering::SeqCst) != 0 {
-        promote_resurrections(sh);
-        admit_up_to_capacity(sh, cfg);
-        let Some(i) = acquire(sh, w, cfg) else {
-            fast_forward_if_idle(sh);
-            std::thread::yield_now();
-            continue;
+    // The session this worker just ran and what its quantum decided.
+    let mut held: Option<(usize, Verdict)> = None;
+    loop {
+        let pass = sh.lock().pass(held.take(), cfg);
+        let i = match pass {
+            Pass::Run(i) => i,
+            Pass::Idle => {
+                std::thread::yield_now();
+                continue;
+            }
+            Pass::Exit => return stats,
         };
-        sh.quanta.fetch_add(1, Ordering::Relaxed);
-        let mut slot = sh.slots[i].lock().unwrap();
-        let state = slot
-            .as_mut()
-            .expect("a queued session index always has live state");
-        let mut verdict = QuantumVerdict::Requeue;
-        sh.scratch_checkouts.fetch_add(1, Ordering::Relaxed);
+        stats.checkouts += 1;
         let workspace = scratch.get_or_insert_with(|| {
-            sh.scratch_created.fetch_add(1, Ordering::Relaxed);
+            stats.created += 1;
             SolverWorkspace::new()
         });
-        for _ in 0..cfg.frames_per_quantum.max(1) {
-            match state.step_guarded(workspace) {
-                StepOutcome::Progress => {}
-                StepOutcome::Done => {
-                    verdict = QuantumVerdict::Done;
-                    break;
-                }
-                // A wedged step consumes the rest of this quantum — one
-                // Stalled return costs exactly one scheduler round, the
-                // same unit the serial-alone loop charges, so the logical
-                // deadline clock agrees between fleet and alone.
-                StepOutcome::Stalled => break,
-                StepOutcome::Failed => {
-                    verdict = QuantumVerdict::Failed;
-                    break;
-                }
-            }
-        }
-        match verdict {
-            QuantumVerdict::Done => {
-                let state = slot.take().unwrap();
-                drop(slot);
-                *sh.reports[i].lock().unwrap() = Some(state.finish());
-                sh.active.fetch_sub(1, Ordering::SeqCst);
-                sh.live.fetch_sub(1, Ordering::SeqCst);
-            }
-            QuantumVerdict::Failed => {
-                let restart = slot.as_mut().unwrap().try_schedule_restart();
-                match restart {
-                    Some(backoff) => {
-                        // The slot keeps the (checkpoint-restored) state;
-                        // only its scheduling claim is released. It will
-                        // re-enter through the admission queue once the
-                        // backoff expires on the quanta clock.
-                        drop(slot);
-                        let ready_at = sh.quanta.load(Ordering::Relaxed) + backoff;
-                        sh.resurrect.lock().unwrap().push((i, ready_at));
-                        sh.resurrections.fetch_add(1, Ordering::Relaxed);
-                        sh.active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    None => {
-                        // Terminal quarantine: reaped like a completion so
-                        // the pool keeps serving everyone else.
-                        let state = slot.take().unwrap();
-                        drop(slot);
-                        *sh.reports[i].lock().unwrap() = Some(state.finish_quarantined());
-                        sh.active.fetch_sub(1, Ordering::SeqCst);
-                        sh.live.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            QuantumVerdict::Requeue => {
-                let low = slot.as_ref().unwrap().priority() == Priority::Low;
-                drop(slot);
-                release(sh, w, i, low, cfg);
-            }
-        }
+        held = Some((i, run_quantum(sh, i, workspace, cfg.frames_per_quantum)));
     }
 }
 
-/// Moves restart-ladder sessions whose backoff has expired (on the
-/// executed-quanta clock) back onto the admission queue, so a revived
-/// session re-enters through the same capacity gate as a new arrival.
-fn promote_resurrections(sh: &Shared) {
-    let mut resurrect = sh.resurrect.lock().unwrap();
-    if resurrect.is_empty() {
-        return;
-    }
-    let now = sh.quanta.load(Ordering::Relaxed);
-    let mut waiting = sh.waiting.lock().unwrap();
-    resurrect.retain(|&(i, ready_at)| {
-        if ready_at <= now {
-            waiting.push_back(i);
-            false
-        } else {
-            true
-        }
-    });
-}
-
-/// Activates arrival-eligible waiting sessions while the active set has
-/// capacity. `active` is only incremented under the `waiting` lock, so the
-/// cap holds. Activations distribute round-robin across the shard
-/// injectors.
-///
-/// An envelope-deferred session activates into the *deferred* queue (its
-/// one-shot flag clears here): it consumes an active slot — so completion
-/// accounting stays uniform — but is not runnable, and therefore only
-/// starts once the runnable backlog drains below the resume watermark.
-fn admit_up_to_capacity(sh: &Shared, cfg: &SchedulerConfig) {
-    let now = sh.quanta.load(Ordering::Relaxed);
-    let mut waiting = sh.waiting.lock().unwrap();
-    let mut idx = 0;
-    while idx < waiting.len() && sh.active.load(Ordering::SeqCst) < cfg.max_active.max(1) {
-        if sh.arrival[waiting[idx]].load(Ordering::Relaxed) > now {
-            idx += 1; // not yet arrived: hold, but keep admitting behind it
-            continue;
-        }
-        let i = waiting.remove(idx).unwrap();
-        sh.active.fetch_add(1, Ordering::SeqCst);
-        if sh.defer_at_start[i].swap(false, Ordering::SeqCst) {
-            sh.deferred.lock().unwrap().push_back(i);
-            sh.envelope_deferrals.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let s = sh.next_shard.fetch_add(1, Ordering::Relaxed) % sh.shards.len();
-            sh.shards[s].injector.lock().unwrap().push_back(i);
-            sh.runnable.fetch_add(1, Ordering::SeqCst);
+/// Runs up to `frames` frames of session `i`. A session that completes or
+/// is terminally quarantined is reaped here, outside the scheduler lock,
+/// so the pool keeps serving everyone else.
+fn run_quantum(sh: &Shared, i: usize, workspace: &mut SolverWorkspace, frames: usize) -> Verdict {
+    let mut slot = sh.slots[i].lock().expect(POISONED);
+    let state = slot
+        .as_mut()
+        .expect("a scheduled session index always has live state");
+    let mut outcome = StepOutcome::Progress;
+    for _ in 0..frames.max(1) {
+        outcome = state.step_guarded(workspace);
+        // A wedged step (`Stalled`) consumes the rest of this quantum —
+        // one Stalled return costs exactly one scheduler round, the same
+        // unit the serial-alone loop charges, so the logical deadline
+        // clock agrees between fleet and alone.
+        if outcome != StepOutcome::Progress {
+            break;
         }
     }
-}
-
-/// Anti-livelock for the logical clock: the executed-quanta clock only
-/// advances while some session runs, so if *every* remaining session is
-/// parked behind a future logical time (restart backoff or a churn arrival
-/// round), the earliest such wakeup is fast-forwarded to now. Backoff and
-/// arrival rounds shape timing, never outputs, so this is contract-safe.
-fn fast_forward_if_idle(sh: &Shared) {
-    if sh.runnable.load(Ordering::SeqCst) != 0 || sh.active.load(Ordering::SeqCst) != 0 {
-        return;
-    }
-    let now = sh.quanta.load(Ordering::Relaxed);
-    let mut resurrect = sh.resurrect.lock().unwrap();
-    let mut waiting = sh.waiting.lock().unwrap();
-    // Another worker may have replenished between the counter check and
-    // taking the locks; promoting one extra session early is harmless
-    // (timing-only), so no re-check is needed.
-    let earliest_res = resurrect
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &(slot, ready_at))| (ready_at, slot))
-        .map(|(pos, &(_, ready_at))| (ready_at, pos));
-    let earliest_arr = waiting
-        .iter()
-        .map(|&i| (sh.arrival[i].load(Ordering::Relaxed), i))
-        .min();
-    match (earliest_res, earliest_arr) {
-        // Earliest wakeup is a resurrection still in the future: pull it
-        // forward by re-queueing it through `waiting` (its arrival round
-        // is already <= now, so admission picks it up immediately).
-        (Some((res_at, pos)), arr)
-            if arr.is_none_or(|(arr_at, _)| res_at <= arr_at) && res_at > now =>
-        {
-            let (i, _) = resurrect.remove(pos);
-            waiting.push_back(i);
+    match outcome {
+        StepOutcome::Progress | StepOutcome::Stalled => {
+            return Verdict::Continue {
+                low: state.priority() == Priority::Low,
+            };
         }
-        // Earliest wakeup is a resurrection that is already due: the next
-        // promote_resurrections pass runs it, and fast-forwarding a later
-        // arrival past it would reorder admission — do nothing.
-        (Some((res_at, _)), arr) if arr.is_none_or(|(arr_at, _)| res_at <= arr_at) => {}
-        (_, Some((arr_at, i))) if arr_at > now => {
-            sh.arrival[i].store(now, Ordering::Relaxed);
-        }
-        _ => {}
-    }
-}
-
-/// Takes the next session for worker `w`.
-///
-/// **Canonical pop order** (the single authoritative statement — module
-/// docs, DESIGN.md and the `pop_order_is_canonical_on_the_sharded_path`
-/// test all defer to this list):
-///
-/// 1. own local deque (front: newest-first FIFO for cache warmth);
-/// 2. steal from a shard sibling's deque (back — the oldest, coldest
-///    work), probing with `try_lock` so a contended victim is skipped and
-///    counted rather than waited on;
-/// 3. own shard's injector (front);
-/// 4. cross-shard, ring order from the next shard: that shard's injector
-///    (front), then steals from its members' deques (back);
-/// 5. the deferred queue (front), only once the runnable backlog has
-///    drained below the resume watermark.
-///
-/// Tiers 1–3 touch only queues shared by the worker's own shard; tiers
-/// 4–5 run only when the entire shard is dry.
-fn acquire(sh: &Shared, w: usize, cfg: &SchedulerConfig) -> Option<usize> {
-    // 1. own deque.
-    if let Some(i) = sh.locals[w].lock().unwrap().pop_front() {
-        sh.runnable.fetch_sub(1, Ordering::SeqCst);
-        return Some(i);
-    }
-    let s = sh.shard_of(w);
-    // 2. shard siblings, ring order after `w`.
-    let members = sh.shard_members(s);
-    let span = members.len();
-    for k in 1..span {
-        let victim = members.start + (w - members.start + k) % span;
-        if let Some(i) = try_steal(sh, &sh.locals[victim]) {
-            sh.shard_steals.fetch_add(1, Ordering::Relaxed);
-            return Some(i);
-        }
-    }
-    // 3. own shard's injector.
-    if let Some(i) = sh.shards[s].injector.lock().unwrap().pop_front() {
-        sh.runnable.fetch_sub(1, Ordering::SeqCst);
-        return Some(i);
-    }
-    // 4. cross-shard: injector first, then member deques.
-    let num_shards = sh.shards.len();
-    for k in 1..num_shards {
-        let t = (s + k) % num_shards;
-        match sh.shards[t].injector.try_lock() {
-            Ok(mut q) => {
-                if let Some(i) = q.pop_front() {
-                    sh.runnable.fetch_sub(1, Ordering::SeqCst);
-                    return Some(i);
-                }
-            }
-            Err(TryLockError::WouldBlock) => {
-                sh.contended_probes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TryLockError::Poisoned(e)) => panic!("poisoned injector: {e}"),
-        }
-        for victim in sh.shard_members(t) {
-            if let Some(i) = try_steal(sh, &sh.locals[victim]) {
-                sh.cross_steals.fetch_add(1, Ordering::Relaxed);
-                return Some(i);
+        StepOutcome::Failed => {
+            if let Some(backoff) = state.try_schedule_restart() {
+                return Verdict::Restart { backoff };
             }
         }
+        StepOutcome::Done => {}
     }
-    // 5. deferred, below the resume watermark only.
-    if sh.runnable.load(Ordering::SeqCst) < resume_watermark(cfg) {
-        if let Some(i) = sh.deferred.lock().unwrap().pop_front() {
-            return Some(i);
-        }
-    }
-    None
-}
-
-/// One steal probe: `try_lock` the victim's deque and take its oldest
-/// entry. A busy victim is skipped (counted as a contended probe) — the
-/// thief has other tiers to try, and waiting here is exactly the lock
-/// convoy sharding exists to avoid.
-fn try_steal(sh: &Shared, victim: &Mutex<VecDeque<usize>>) -> Option<usize> {
-    match victim.try_lock() {
-        Ok(mut q) => {
-            let i = q.pop_back()?;
-            sh.runnable.fetch_sub(1, Ordering::SeqCst);
-            Some(i)
-        }
-        Err(TryLockError::WouldBlock) => {
-            sh.contended_probes.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-        Err(TryLockError::Poisoned(e)) => panic!("poisoned deque: {e}"),
-    }
-}
-
-/// Requeues an unfinished session: `Low` sessions park on the deferred
-/// queue while the runnable backlog is at or above the watermark;
-/// everything else goes back on the worker's own deque.
-fn release(sh: &Shared, w: usize, i: usize, low: bool, cfg: &SchedulerConfig) {
-    if low && sh.runnable.load(Ordering::SeqCst) >= cfg.defer_watermark {
-        sh.deferred.lock().unwrap().push_back(i);
-        sh.deferrals.fetch_add(1, Ordering::Relaxed);
+    let state = slot.take().expect("the slot held the session just stepped");
+    drop(slot);
+    *sh.reports[i].lock().expect(POISONED) = Some(if outcome == StepOutcome::Done {
+        state.finish()
     } else {
-        sh.locals[w].lock().unwrap().push_back(i);
-        sh.runnable.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Deferred sessions resume once fewer runnable sessions remain than half
-/// the defer watermark (at least one, so a deferred-only fleet always
-/// makes progress).
-fn resume_watermark(cfg: &SchedulerConfig) -> usize {
-    (cfg.defer_watermark / 2).max(1)
+        state.finish_quarantined()
+    });
+    Verdict::Finished
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn test_shared(cfg: &SchedulerConfig) -> Shared {
-        Shared::new(Vec::new(), Vec::new(), Vec::new(), VecDeque::new(), cfg)
+    /// Queues over slots `0..arrival.len()`, all waiting in slot order.
+    fn queues(arrival: Vec<usize>) -> Queues {
+        let n = arrival.len();
+        Queues::new((0..n).collect(), arrival, vec![false; n])
     }
 
-    /// Single-quantum, single-thread replay of [`acquire`]'s canonical pop
-    /// order on the sharded path: one candidate is planted in each tier and
-    /// the drain order must match the documented list exactly —
-    /// deterministically, every run.
     #[test]
-    fn pop_order_is_canonical_on_the_sharded_path() {
-        let cfg = SchedulerConfig {
-            threads: 8,
-            max_active: 8,
-            frames_per_quantum: 1,
-            defer_watermark: 16,
-            shard_size: 4,
-        };
-        let sh = test_shared(&cfg);
-        assert_eq!(sh.shards.len(), 2);
-        assert_eq!(sh.shard_members(0), 0..4);
-        assert_eq!(sh.shard_members(1), 4..8);
+    fn admission_keeps_admitting_behind_a_not_yet_arrived_head() {
+        let mut q = queues(vec![5, 0, 0, 0]);
+        q.admit(2);
+        assert_eq!(q.ready, [1, 2], "capacity 2; the unarrived head waits");
+        assert_eq!(q.waiting, [0, 3]);
+        (q.stats.quanta, q.active) = (5, 0);
+        q.admit(8);
+        assert_eq!(q.ready, [1, 2, 0, 3], "an arrived head admits in order");
+    }
 
-        // One entry per tier, from worker 0's point of view.
-        sh.locals[0].lock().unwrap().push_back(1); // tier 1: own deque
-        sh.locals[2].lock().unwrap().push_back(2); // tier 2: shard sibling
-        sh.shards[0].injector.lock().unwrap().push_back(3); // tier 3: shard injector
-        sh.shards[1].injector.lock().unwrap().push_back(4); // tier 4a: cross injector
-        sh.locals[5].lock().unwrap().push_back(5); // tier 4b: cross steal
-        sh.deferred.lock().unwrap().push_back(6); // tier 5: deferred
-        sh.runnable.store(5, Ordering::SeqCst);
-
-        let drained: Vec<Option<usize>> = (0..7).map(|_| acquire(&sh, 0, &cfg)).collect();
+    #[test]
+    fn envelope_defer_at_start_routes_only_the_first_activation() {
+        let mut q = queues(vec![0, 0]);
+        q.defer_at_start[0] = true;
+        q.admit(8);
         assert_eq!(
-            drained,
-            vec![Some(1), Some(2), Some(3), Some(4), Some(5), Some(6), None],
-            "pop order must be: own deque, shard steal, shard injector, \
-             cross injector, cross steal, deferred"
+            (q.deferred[0], q.ready[0], q.defer_at_start[0]),
+            (0, 1, false)
         );
-        assert_eq!(sh.runnable.load(Ordering::SeqCst), 0);
-        assert_eq!(sh.shard_steals.load(Ordering::Relaxed), 1);
-        assert_eq!(sh.cross_steals.load(Ordering::Relaxed), 1);
-        assert_eq!(sh.contended_probes.load(Ordering::Relaxed), 0);
+        // Slot 0 runs, fails and is revived: it re-enters like anyone.
+        assert_eq!((q.next(), q.next()), (Some(1), Some(0)));
+        assert!(!q.settle(0, Verdict::Restart { backoff: 0 }, usize::MAX));
+        q.promote_resurrections();
+        q.admit(8);
+        assert_eq!((q.ready[0], q.stats.envelope_deferrals), (0, 1));
     }
 
-    /// The deferred tier stays fenced while the runnable backlog is at or
-    /// above the resume watermark.
     #[test]
-    fn deferred_tier_respects_resume_watermark() {
-        let cfg = SchedulerConfig {
-            threads: 1,
-            max_active: 8,
-            frames_per_quantum: 1,
-            defer_watermark: 4,
-            shard_size: 0,
-        };
-        let sh = test_shared(&cfg);
-        assert_eq!(sh.shards.len(), 1, "1 worker collapses to 1 shard");
-        sh.deferred.lock().unwrap().push_back(9);
-        sh.runnable.store(2, Ordering::SeqCst); // watermark/2 = 2: fenced
-        assert_eq!(acquire(&sh, 0, &cfg), None);
-        sh.runnable.store(1, Ordering::SeqCst); // below: resumes
-        assert_eq!(acquire(&sh, 0, &cfg), Some(9));
+    fn resurrection_is_promoted_exactly_when_its_backoff_expires() {
+        let mut q = queues(vec![0]);
+        q.admit(8);
+        let i = q.next().unwrap();
+        q.stats.quanta = 7;
+        assert!(!q.settle(i, Verdict::Restart { backoff: 3 }, 1));
+        assert_eq!((q.resurrect[0], q.active, q.live), ((0, 10), 0, 1));
+        q.stats.quanta = 9;
+        q.promote_resurrections();
+        assert!(q.waiting.is_empty(), "quanta 9 < ready_at 10");
+        q.stats.quanta = 10;
+        q.promote_resurrections();
+        assert_eq!((q.waiting[0], q.resurrect.len()), (0, 0));
+    }
+
+    #[test]
+    fn fast_forward_pulls_the_earliest_future_wakeup_only() {
+        // A future resurrection due before the earliest arrival is pulled
+        // through admission; the arrival keeps its round.
+        let mut q = queues(vec![20]);
+        (q.resurrect, q.stats.quanta) = (vec![(1, 15)], 5);
+        q.fast_forward();
+        assert_eq!((q.waiting[1], q.arrival[0]), (1, 20));
+        // An already-due resurrection is left to promote_resurrections,
+        // and the later arrival is not pulled past it.
+        let mut q = queues(vec![20]);
+        (q.resurrect, q.stats.quanta) = (vec![(1, 3)], 5);
+        q.fast_forward();
+        assert_eq!((q.resurrect[0], q.arrival[0]), ((1, 3), 20));
+        // Otherwise the earliest future arrival is pulled to now — but
+        // never while a session is active.
+        let mut q = queues(vec![20]);
+        (q.active, q.stats.quanta) = (1, 5);
+        q.fast_forward();
+        assert_eq!(q.arrival[0], 20);
+        q.active = 0;
+        q.fast_forward();
+        assert_eq!(q.arrival[0], 5);
+    }
+
+    #[test]
+    fn next_takes_ready_before_deferred() {
+        let mut q = queues(Vec::new());
+        (q.ready, q.deferred) = ([2, 4].into(), [1, 3].into());
+        let order: Vec<_> = std::iter::from_fn(|| q.next()).collect();
+        assert_eq!(order, [2, 4, 1, 3]);
+    }
+
+    #[test]
+    fn a_held_session_is_deferred_only_if_low_and_at_the_watermark() {
+        let mut q = queues(Vec::new());
+        q.ready = [1].into();
+        assert!(q.settle(0, Verdict::Continue { low: true }, 2));
+        assert!(q.settle(0, Verdict::Continue { low: false }, 1));
+        assert!(!q.settle(0, Verdict::Continue { low: true }, 1));
+        assert_eq!((q.deferred[0], q.stats.deferrals), (0, 1));
+    }
+
+    #[test]
+    fn pass_reruns_the_held_session_and_exits_when_all_finish() {
+        let cfg = FleetConfig::default();
+        let mut q = queues(vec![0, 0]);
+        let cont = Some((0, Verdict::Continue { low: false }));
+        assert_eq!(q.pass(None, &cfg), Pass::Run(0));
+        assert_eq!(q.pass(cont, &cfg), Pass::Run(0));
+        assert_eq!(q.pass(Some((0, Verdict::Finished)), &cfg), Pass::Run(1));
+        assert_eq!(q.pass(Some((1, Verdict::Finished)), &cfg), Pass::Exit);
+        assert_eq!((q.stats.quanta, q.active, q.live), (3, 0, 0));
     }
 }

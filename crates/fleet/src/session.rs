@@ -38,6 +38,10 @@ use crate::isolation::{
 };
 use crate::FleetConfig;
 
+/// Windows between session checkpoints while restarts are enabled (the
+/// restart ladder's replay granularity).
+const CHECKPOINT_INTERVAL: usize = 8;
+
 /// Scheduling priority of a session.
 ///
 /// Priority only affects *when* a session's frames are processed (admission,
@@ -369,8 +373,6 @@ pub struct FleetServices {
     pub deadline: DeadlinePolicy,
     /// Restart/backoff ladder every session runs under.
     pub restart: RestartPolicy,
-    /// Windows between session checkpoints (when restarts are enabled).
-    pub checkpoint_interval: usize,
     design: AcceleratorConfig,
     platform: FpgaPlatform,
     latency_bound_ms: f64,
@@ -388,7 +390,6 @@ impl FleetServices {
             policy: Arc::new(IterPolicy::default_table()),
             deadline: config.deadline,
             restart: config.restart,
-            checkpoint_interval: config.checkpoint_interval,
             design: config.design,
             platform: config.platform.clone(),
             latency_bound_ms: config.latency_bound_ms,
@@ -556,7 +557,6 @@ pub(crate) struct SessionState {
     model: Arc<CachedAcceleratorModel>,
     deadline: DeadlinePolicy,
     restart: RestartPolicy,
-    checkpoint_interval: usize,
     chaos: Option<ChaosPlan>,
     /// One-shot latch per chaos event. Lives outside the checkpoint: chaos
     /// models *transient* defects, so a restarted session replays the
@@ -609,7 +609,6 @@ impl SessionState {
             model: Arc::clone(&services.model),
             deadline: services.deadline,
             restart: services.restart,
-            checkpoint_interval: services.checkpoint_interval,
             chaos_fired: vec![false; spec.chaos.as_ref().map_or(0, |p| p.events.len())],
             chaos: spec.chaos.clone(),
             pending_stall: 0,
@@ -760,7 +759,7 @@ impl SessionState {
                             .core
                             .estimates
                             .len()
-                            .is_multiple_of(self.checkpoint_interval.max(1))
+                            .is_multiple_of(CHECKPOINT_INTERVAL)
                     {
                         self.checkpoint = Some(Box::new(self.core.clone()));
                     }
