@@ -4,7 +4,7 @@
 //! layer leans on — warm-started search and the memoized `SynthCache`.
 //!
 //! Every case runs one untimed warmup search first so one-time process
-//! state (pool calibration, allocator warmup, lazy platform tables) is paid
+//! state (allocator warmup, lazy platform tables) is paid
 //! outside the sampling loop — `zc706_min_latency`'s historical
 //! 748 µs-on-3.8 ms stddev was exactly this first-sample pollution.
 //!

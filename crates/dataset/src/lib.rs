@@ -37,8 +37,8 @@ mod world;
 
 pub use frontend::{generate_frames, Frame, FrontendConfig, TrackedFeature};
 pub use pipeline::{
-    with_thread_workspace, DegradationCause, HealthConfig, HealthMonitor, HealthState, InitMode,
-    PipelineConfig, VioPipeline, WindowResult,
+    DegradationCause, HealthConfig, HealthMonitor, HealthState, InitMode, PipelineConfig,
+    VioPipeline, WindowResult,
 };
 pub use sequence::{
     euroc_sequences, kitti_sequences, tunnel_sequences, DatasetFamily, SequenceData, SequenceSpec,

@@ -24,17 +24,6 @@ thread_local! {
     static SCRATCH: RefCell<SolverWorkspace> = RefCell::new(SolverWorkspace::new());
 }
 
-/// Runs `f` on this thread's solver scratch: the workspace
-/// [`VioPipeline::optimize_and_slide`] solves in.
-///
-/// # Panics
-///
-/// Panics when called re-entrantly from inside `f` or from inside
-/// `optimize_and_slide`.
-pub fn with_thread_workspace<R>(f: impl FnOnce(&mut SolverWorkspace) -> R) -> R {
-    SCRATCH.with(|ws| f(&mut ws.borrow_mut()))
-}
-
 /// How each new keyframe's state estimate is initialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitMode {
@@ -454,10 +443,9 @@ impl VioPipeline {
     /// slides it (marginalizing the oldest keyframe). Returns the window
     /// result.
     ///
-    /// Solver scratch comes from a per-thread [`SolverWorkspace`] (see
-    /// [`with_thread_workspace`]) whose dispatch pool is re-read from the
-    /// environment on every call; callers that own their scratch (the fleet
-    /// serving layer) use [`VioPipeline::optimize_and_slide_in`] instead.
+    /// Solver scratch comes from a per-thread [`SolverWorkspace`]; callers
+    /// that own their scratch (the fleet serving layer) use
+    /// [`VioPipeline::optimize_and_slide_in`] instead.
     /// The workspace is pure scratch — every buffer is fully rewritten
     /// before it is read — so which workspace executes a window never
     /// changes its bits.
@@ -466,10 +454,7 @@ impl VioPipeline {
     ///
     /// Panics when called before the window is full.
     pub fn optimize_and_slide(&mut self, iterations: usize) -> WindowResult {
-        with_thread_workspace(|ws| {
-            ws.recalibrate();
-            self.optimize_and_slide_in(ws, iterations)
-        })
+        SCRATCH.with(|ws| self.optimize_and_slide_in(&mut ws.borrow_mut(), iterations))
     }
 
     /// [`VioPipeline::optimize_and_slide`] with caller-provided solver
@@ -536,8 +521,7 @@ impl VioPipeline {
 
     /// Runs `solve` on the full window with the configured weights, prior
     /// and iteration budget, then slides (shared head of the optimize
-    /// entry points). The solve and the marginalization share `workspace`
-    /// and its dispatch pool.
+    /// entry points). The solve and the marginalization share `workspace`.
     fn optimize_then_slide(
         &mut self,
         workspace: &mut SolverWorkspace,

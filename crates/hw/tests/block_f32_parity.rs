@@ -7,12 +7,10 @@
 //! oracle returns an increment, and must fail together whenever it returns
 //! `None`: an f32 solution that is not finite, a `U` entry that casts to
 //! zero or to a subnormal, `U⁻¹·bx` overflowing f32, and the
-//! landmark-free (`p == 0`) Cholesky path. Every case runs at pools
-//! {1, 2, 8}, forcing the row-parallel elimination kernel at 2 and 8.
+//! landmark-free (`p == 0`) Cholesky path.
 
 use archytas_hw::f32_linear_solver;
 use archytas_math::{BlockSparseSystem, DVec, F32Stage};
-use archytas_par::Pool;
 use archytas_slam::{
     build_block_normal_equations, FactorWeights, KeyframeState, Landmark, Observation, Pose, Quat,
     SlidingWindow, Vec3,
@@ -28,44 +26,30 @@ fn oracle(sys: &Sys) -> Option<DVec> {
     f32_linear_solver(&a, &b, sys.p())
 }
 
-/// The served step at `pool`, on a fresh stage and on one that already
-/// solved a differently shaped system (stale buffers must not leak).
-fn served(sys: &Sys, pool: &Pool, stage: &mut F32Stage) -> Option<DVec> {
+/// The served step on `stage`.
+fn served(sys: &Sys, stage: &mut F32Stage) -> Option<DVec> {
     let mut out = DVec::zeros(0);
-    sys.solve_f32_into(stage, pool, &mut out).then_some(out)
+    sys.solve_f32_into(stage, &mut out).then_some(out)
 }
 
 fn bits(x: &DVec) -> Vec<u64> {
     x.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Asserts served == oracle (bits, or both `None`) at pools {1, 2, 8};
-/// returns the oracle's verdict.
+/// Asserts served == oracle (bits, or both `None`), on a fresh stage and on
+/// one that already solved a differently shaped system (stale buffers must
+/// not leak); returns the oracle's verdict.
 fn assert_parity(sys: &Sys, stale: &mut F32Stage, what: &str) -> Option<DVec> {
     let want = oracle(sys);
-    for pool in [
-        Pool::with_threads(1),
-        Pool::with_threads(2)
-            .with_serial_threshold(0)
-            .with_min_work(0),
-        Pool::with_threads(8)
-            .with_serial_threshold(0)
-            .with_min_work(0),
-    ] {
-        for got in [
-            served(sys, &pool, &mut F32Stage::default()),
-            served(sys, &pool, stale),
-        ] {
-            match (&want, &got) {
-                (None, None) => {}
-                (Some(w), Some(g)) => assert_eq!(bits(g), bits(w), "{what}: increments differ"),
-                _ => panic!(
-                    "{what}: oracle {} but served {} (pool {} threads)",
-                    if want.is_some() { "solved" } else { "failed" },
-                    if got.is_some() { "solved" } else { "failed" },
-                    pool.threads()
-                ),
-            }
+    for got in [served(sys, &mut F32Stage::default()), served(sys, stale)] {
+        match (&want, &got) {
+            (None, None) => {}
+            (Some(w), Some(g)) => assert_eq!(bits(g), bits(w), "{what}: increments differ"),
+            _ => panic!(
+                "{what}: oracle {} but served {}",
+                if want.is_some() { "solved" } else { "failed" },
+                if got.is_some() { "solved" } else { "failed" },
+            ),
         }
     }
     want

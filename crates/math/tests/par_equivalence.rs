@@ -1,20 +1,73 @@
-//! Parallel kernels must be bit-identical to serial execution for every
-//! thread count — the determinism contract of `archytas-par` applied to the
-//! `archytas-math` hot paths.
+//! The dense `archytas-math` hot paths — product, Gram and Cholesky — must
+//! be bit-identical to textbook reference loops that perform the same
+//! floating-point operations in the same order.
 
 use archytas_math::{Cholesky, DMat, DVec, Scalar};
-use archytas_par::Pool;
 use proptest::prelude::*;
-
-/// Pools covering the serial path, an even split, and heavy oversubscription
-/// (the container may have a single core — oversubscription is exactly what
-/// must NOT change results). Threshold 0 forces the parallel code path.
-fn pools() -> [Pool; 3] {
-    [1, 2, 8].map(|t| Pool::with_threads(t).with_serial_threshold(0))
-}
 
 fn bits(m: &DMat) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `a·b` as an i-k-j triple loop that skips zero left-hand entries.
+fn naive_mul(a: &DMat, b: &DMat) -> DMat {
+    let mut out = DMat::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let x = a.get(i, k);
+            if x == f64::ZERO {
+                continue;
+            }
+            for j in 0..b.cols() {
+                out.add_at(i, j, x * b.get(k, j));
+            }
+        }
+    }
+    out
+}
+
+/// `aᵀ·a`: each upper-triangle element sums `a[k][i]·a[k][j]` over `k`
+/// ascending, skipping zero `a[k][i]`, and is mirrored below the diagonal.
+fn naive_gram(a: &DMat) -> DMat {
+    let n = a.cols();
+    let mut out = DMat::zeros(n, n);
+    for i in 0..n {
+        for j in i..n {
+            for k in 0..a.rows() {
+                let x = a.get(k, i);
+                if x != f64::ZERO {
+                    out.add_at(i, j, x * a.get(k, j));
+                }
+            }
+            out.set(j, i, out.get(i, j));
+        }
+    }
+    out
+}
+
+/// Right-looking unblocked Cholesky: evaluate column `k`, then subtract it
+/// from every trailing element. Returns `L` and the Evaluate and Update
+/// operation counts, one increment per iteration.
+fn naive_cholesky(a: &DMat) -> (DMat, [usize; 3]) {
+    let n = a.rows();
+    let mut w = a.clone();
+    let mut l = DMat::zeros(n, n);
+    let mut counts = [0, 0, n];
+    for k in 0..n {
+        let d = w.get(k, k).sqrt();
+        l.set(k, k, d);
+        for i in k + 1..n {
+            l.set(i, k, w.get(k, i) / d);
+        }
+        for j in k + 1..n {
+            for i in j..n {
+                w.set(j, i, w.get(j, i) - l.get(i, k) * l.get(j, k));
+            }
+        }
+        counts[0] += n - k;
+        counts[1] += (n - 1 - k) * (n - k) / 2;
+    }
+    (l, counts)
 }
 
 /// Deterministic pseudo-random fill (SplitMix64-style) so proptest only has
@@ -33,34 +86,24 @@ fn fill(rows: usize, cols: usize, seed: u64) -> DMat {
 fn mul_bit_identical_across_pools() {
     let a = fill(67, 45, 1);
     let b = fill(45, 53, 2);
-    let reference = bits(&a.try_mul_with(&b, &pools()[0]).unwrap());
-    for pool in &pools()[1..] {
-        assert_eq!(bits(&a.try_mul_with(&b, pool).unwrap()), reference);
-    }
+    assert_eq!(bits(&a.try_mul(&b).unwrap()), bits(&naive_mul(&a, &b)));
 }
 
 #[test]
 fn gram_bit_identical_across_pools() {
     let a = fill(91, 40, 3);
-    let reference = bits(&a.gram_with(&pools()[0]));
-    for pool in &pools()[1..] {
-        assert_eq!(bits(&a.gram_with(pool)), reference);
-    }
+    assert_eq!(bits(&a.gram()), bits(&naive_gram(&a)));
 }
 
 #[test]
 fn cholesky_bit_identical_across_pools() {
-    // n = 90 keeps early trailing blocks (≈ n² elements) above the
-    // factorization's internal parallelism floor, so the Update phase truly
-    // runs on the workers for multi-thread pools.
+    // n = 90 spans many 8-column panels plus a partial one.
     let n = 90;
     let spd = fill(n, n, 4).gram().add_diagonal(n as f64);
-    let (l0, c0) = Cholesky::factor_counting_with(&spd, &pools()[0]).unwrap();
-    for pool in &pools()[1..] {
-        let (l, c) = Cholesky::factor_counting_with(&spd, pool).unwrap();
-        assert_eq!(bits(l.l()), bits(l0.l()));
-        assert_eq!(c, c0, "op counts must not depend on the thread count");
-    }
+    let (l, c) = Cholesky::factor_counting(&spd).unwrap();
+    let (l0, c0) = naive_cholesky(&spd);
+    assert_eq!(bits(l.l()), bits(&l0));
+    assert_eq!([c.evaluate_ops, c.update_ops, c.iterations], c0);
 }
 
 #[test]
@@ -87,10 +130,7 @@ proptest! {
     ) {
         let a = fill(r, k, seed);
         let b = fill(k, c, seed ^ 0xDEAD_BEEF);
-        let reference = bits(&a.try_mul_with(&b, &pools()[0]).unwrap());
-        for pool in &pools()[1..] {
-            prop_assert_eq!(bits(&a.try_mul_with(&b, pool).unwrap()), reference.clone());
-        }
+        prop_assert_eq!(bits(&a.try_mul(&b).unwrap()), bits(&naive_mul(&a, &b)));
     }
 
     #[test]
@@ -99,23 +139,18 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let a = fill(r, c, seed);
-        let reference = bits(&a.gram_with(&pools()[0]));
-        for pool in &pools()[1..] {
-            prop_assert_eq!(bits(&a.gram_with(pool)), reference.clone());
-        }
-        // And the parallel Gram still equals the explicit product shape-wise.
-        prop_assert_eq!(a.gram_with(&pools()[2]).shape(), (c, c));
+        let gram = a.gram();
+        prop_assert_eq!(bits(&gram), bits(&naive_gram(&a)));
+        prop_assert_eq!(gram.shape(), (c, c));
     }
 
     #[test]
     fn cholesky_equivalence_random_sizes(n in 1usize..24, seed in 0u64..1_000_000) {
         let spd = fill(n, n, seed).gram().add_diagonal(n as f64 + 1.0);
-        let (l0, c0) = Cholesky::factor_counting_with(&spd, &pools()[0]).unwrap();
-        for pool in &pools()[1..] {
-            let (l, cts) = Cholesky::factor_counting_with(&spd, pool).unwrap();
-            prop_assert_eq!(bits(l.l()), bits(l0.l()));
-            prop_assert_eq!(cts, c0);
-        }
+        let (l, cts) = Cholesky::factor_counting(&spd).unwrap();
+        let (l0, c0) = naive_cholesky(&spd);
+        prop_assert_eq!(bits(l.l()), bits(&l0));
+        prop_assert_eq!([cts.evaluate_ops, cts.update_ops, cts.iterations], c0);
     }
 
     #[test]
@@ -129,9 +164,10 @@ proptest! {
                 }
             }
         }
-        let reference = bits(&a.gram_with(&pools()[0]));
-        for pool in &pools()[1..] {
-            prop_assert_eq!(bits(&a.gram_with(pool)), reference.clone());
-        }
+        prop_assert_eq!(bits(&a.gram()), bits(&naive_gram(&a)));
+        prop_assert_eq!(
+            bits(&a.transpose().try_mul(&a).unwrap()),
+            bits(&naive_mul(&a.transpose(), &a))
+        );
     }
 }

@@ -1,11 +1,12 @@
 //! Std-only parallel execution layer for the Archytas reproduction.
 //!
-//! The paper's software baseline is a *multithreaded* ceres-based solver
-//! (Sec. 7.1) and its hardware template wins by exploiting parallel Update
-//! lanes and MAC arrays; this crate is the software-side analogue: a scoped
-//! worker pool over [`std::thread::scope`] (no external dependencies —
-//! DESIGN.md's sanctioned set has no threading crate) that the math kernels,
-//! the synthesizer and the experiment sweeps all share.
+//! A scoped worker pool over [`std::thread::scope`] (no external
+//! dependencies — DESIGN.md's sanctioned set has no threading crate) that the
+//! synthesizer, the experiment sweeps and the fleet's worker marking share.
+//! The solver kernels in `archytas-math` and `archytas-slam` do not use it:
+//! they run serially, one window per fleet worker, which is where a served
+//! window's parallelism lives (the accelerator's parallel lanes are modeled
+//! by the hardware crate, not emulated with threads).
 //!
 //! # Determinism contract
 //!
@@ -23,39 +24,23 @@
 //!
 //! # Thread-count knob
 //!
-//! [`Pool::global`] reads `ARCHYTAS_THREADS` (0 or unset → hardware
-//! parallelism via [`std::thread::available_parallelism`]). Work below a
-//! tunable threshold ([`Pool::with_serial_threshold`], default
-//! [`DEFAULT_SERIAL_THRESHOLD`], env `ARCHYTAS_PAR_THRESHOLD`) runs serially
-//! so tiny matrices pay zero overhead. Nested calls (a parallel kernel
-//! invoked from inside a worker) automatically degrade to serial — on the
-//! inner level only; the enclosing region keeps its workers.
-//!
-//! # Granularity-aware dispatch
-//!
-//! Item count alone is a poor proxy for work: the solver's Cholesky Update
-//! phases touch thousands of elements but execute one fused multiply-subtract
-//! per element, so spawning scoped workers costs more than the arithmetic
-//! saves. Kernels that can estimate their scalar-operation count pass it
-//! through [`Pool::should_parallelize_work`] /
-//! [`Pool::par_chunks_mut_weighted`]; jobs below the work floor
-//! ([`Pool::with_min_work`], default [`DEFAULT_MIN_PARALLEL_WORK`], env
-//! `ARCHYTAS_PAR_MIN_WORK`) stay serial regardless of their element count.
-//! [`Pool::calibrated`] replaces the static floor with a once-per-process
-//! *measured* break-even point (see [`calibrate`]) so the decision tracks the
-//! machine's actual fork/join cost instead of a hand-tuned guess.
+//! [`Pool::global`] reads `ARCHYTAS_THREADS` (0, unset or garbage → hardware
+//! parallelism via [`std::thread::available_parallelism`]); it is the only
+//! environment knob. Jobs of fewer items than the serial threshold
+//! ([`Pool::with_serial_threshold`], default [`DEFAULT_SERIAL_THRESHOLD`])
+//! run serially. Nested calls (a `par_*` call from inside a worker, or from
+//! a thread marked by [`run_as_worker`]) degrade to serial — on the inner
+//! level only; the enclosing region keeps its workers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calibrate;
 pub mod counters;
 mod memo;
 mod pool;
 
-pub use calibrate::{calibration, Calibration};
 pub use memo::{Memo, MemoStats};
-pub use pool::{run_as_worker, Pool, DEFAULT_MIN_PARALLEL_WORK, DEFAULT_SERIAL_THRESHOLD};
+pub use pool::{run_as_worker, Pool, DEFAULT_SERIAL_THRESHOLD};
 
 /// [`Pool::par_map`] on the [`Pool::global`] pool.
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {

@@ -10,27 +10,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// are still bit-identical.
 pub const DEFAULT_SERIAL_THRESHOLD: usize = 64;
 
-/// Default minimum *estimated scalar operations* before a weighted dispatch
-/// goes parallel.
-///
-/// Item count alone is a poor granularity signal: a Cholesky Update phase on
-/// a 120-dim Schur complement touches thousands of elements but performs only
-/// one fused multiply-subtract per element — far less work than one scoped
-/// spawn/join costs. Kernels that know their FLOP count pass it through
-/// [`Pool::should_parallelize_work`]; jobs estimated below this many scalar
-/// operations stay serial.
-///
-/// The floor is calibrated against the dispatch cost, not the arithmetic
-/// rate: one scoped spawn/join of a few workers costs on the order of
-/// 0.1–0.2 ms, so a kernel must bring several *milliseconds* of serial
-/// arithmetic (≥ tens of megaflops) before splitting it wins. Notably this
-/// keeps every per-window solver kernel of the benchmark sliding window
-/// (≤ ~7 Mflop dense products, ≤ ~0.25 Mflop block-Schur products) serial —
-/// measured 4-thread regressions, not wins — while the synthesizer's lattice
-/// scan and other sweep-scale jobs still fan out. Tune per machine with
-/// `ARCHYTAS_PAR_MIN_WORK`.
-pub const DEFAULT_MIN_PARALLEL_WORK: usize = 16_000_000;
-
 thread_local! {
     // Set while a closure runs inside one of our workers; nested par_* calls
     // observe it and degrade to serial instead of oversubscribing the
@@ -62,8 +41,8 @@ impl Drop for WorkerGuard {
 ///
 /// This is for *embedding* schedulers (e.g. the fleet serving layer) that
 /// spawn their own threads outside this crate: each of their workers already
-/// occupies a core, so letting a solver kernel fork another scope inside one
-/// would oversubscribe the machine. Marking the thread costs one
+/// occupies a core, so letting a nested `par_*` call fork another scope
+/// inside one would oversubscribe the machine. Marking the thread costs one
 /// thread-local write and changes no results — every combinator is
 /// bit-identical serial vs parallel by contract.
 pub fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
@@ -73,10 +52,6 @@ pub fn run_as_worker<R>(f: impl FnOnce() -> R) -> R {
 
 /// [`Pool::global`] calls since process start (see [`Pool::resolutions`]).
 static RESOLUTIONS: AtomicU64 = AtomicU64::new(0);
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
 
 /// A scoped worker pool.
 ///
@@ -88,7 +63,6 @@ fn env_usize(name: &str) -> Option<usize> {
 pub struct Pool {
     threads: usize,
     serial_threshold: usize,
-    min_work: usize,
 }
 
 impl Default for Pool {
@@ -98,30 +72,24 @@ impl Default for Pool {
 }
 
 impl Pool {
-    /// The environment-configured pool: `ARCHYTAS_THREADS` threads (0 or
-    /// unset → [`std::thread::available_parallelism`]), an
-    /// `ARCHYTAS_PAR_THRESHOLD` serial-fallback threshold (default
-    /// [`DEFAULT_SERIAL_THRESHOLD`]) and an `ARCHYTAS_PAR_MIN_WORK` weighted
-    /// dispatch floor (default [`DEFAULT_MIN_PARALLEL_WORK`]).
+    /// The environment-configured pool: `ARCHYTAS_THREADS` threads (0,
+    /// unset or garbage → [`std::thread::available_parallelism`]) and the
+    /// [`DEFAULT_SERIAL_THRESHOLD`].
     ///
     /// Each call re-reads the environment and, without `ARCHYTAS_THREADS`,
     /// the cgroup CPU limits behind `available_parallelism` — tens of
-    /// microseconds — so hot paths resolve a pool once and pass it down.
+    /// microseconds — so callers resolve a pool once per sweep or fleet.
     /// Every call is counted ([`Pool::resolutions`]).
     pub fn global() -> Pool {
         RESOLUTIONS.fetch_add(1, Ordering::Relaxed);
-        let threads = match env_usize("ARCHYTAS_THREADS") {
+        let threads = match std::env::var("ARCHYTAS_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+        {
             Some(n) if n > 0 => n,
             _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        let serial_threshold =
-            env_usize("ARCHYTAS_PAR_THRESHOLD").unwrap_or(DEFAULT_SERIAL_THRESHOLD);
-        let min_work = env_usize("ARCHYTAS_PAR_MIN_WORK").unwrap_or(DEFAULT_MIN_PARALLEL_WORK);
-        Pool {
-            threads,
-            serial_threshold,
-            min_work,
-        }
+        Pool::with_threads(threads)
     }
 
     /// Number of [`Pool::global`] resolutions since process start (one
@@ -136,7 +104,6 @@ impl Pool {
         Pool {
             threads: threads.max(1),
             serial_threshold: DEFAULT_SERIAL_THRESHOLD,
-            min_work: DEFAULT_MIN_PARALLEL_WORK,
         }
     }
 
@@ -155,21 +122,9 @@ impl Pool {
         self.threads
     }
 
-    /// Returns this pool with a different weighted-dispatch work floor
-    /// (estimated scalar operations). `0` disables the work gate, leaving
-    /// only the item-count threshold.
-    pub fn with_min_work(self, min_work: usize) -> Pool {
-        Pool { min_work, ..self }
-    }
-
     /// Configured serial-fallback threshold (work items).
     pub fn serial_threshold(&self) -> usize {
         self.serial_threshold
-    }
-
-    /// Configured weighted-dispatch work floor (estimated scalar operations).
-    pub fn min_work(&self) -> usize {
-        self.min_work
     }
 
     /// Whether a job of `work_items` independent items takes the parallel
@@ -181,27 +136,6 @@ impl Pool {
     /// the enclosing (outer) parallel region is unaffected.
     pub fn should_parallelize(&self, work_items: usize) -> bool {
         self.threads > 1 && work_items >= self.serial_threshold.max(2) && !in_worker()
-    }
-
-    /// Work-size–aware dispatch decision: like [`Pool::should_parallelize`]
-    /// but additionally requiring `estimated_ops` (scalar arithmetic
-    /// operations the whole job will execute, as estimated by the caller) to
-    /// clear the pool's work floor.
-    ///
-    /// This is the granularity gate the solver kernels use: a job can touch
-    /// many elements yet perform almost no arithmetic per element (e.g. one
-    /// trailing-update phase of a small Cholesky), in which case fork/join
-    /// overhead dominates and the job must stay serial no matter its item
-    /// count. A `serial_threshold` of 0 (the equivalence-test mode) forces
-    /// the parallel path regardless of the estimate.
-    pub fn should_parallelize_work(&self, work_items: usize, estimated_ops: usize) -> bool {
-        if self.threads <= 1 || work_items < 2 || in_worker() {
-            return false;
-        }
-        if self.serial_threshold == 0 {
-            return true; // forced-parallel testing mode
-        }
-        work_items >= self.serial_threshold.max(2) && estimated_ops >= self.min_work
     }
 
     /// Maps `f` over `items`, returning results in input order.
@@ -265,45 +199,15 @@ impl Pool {
         chunk_size: usize,
         f: impl Fn(usize, &mut [T]) + Sync,
     ) {
-        let go_parallel = self.should_parallelize(data.len());
-        self.chunks_mut_dispatch(data, chunk_size, go_parallel, f);
-    }
-
-    /// [`Pool::par_chunks_mut`] with a caller-supplied work estimate:
-    /// `estimated_ops` is the number of scalar operations the whole job will
-    /// perform, gated through [`Pool::should_parallelize_work`]. Kernels that
-    /// know their FLOP count (matrix products, Cholesky updates) use this so
-    /// that arithmetic-sparse jobs never pay fork/join overhead.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk_size == 0`.
-    pub fn par_chunks_mut_weighted<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk_size: usize,
-        estimated_ops: usize,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        let go_parallel = self.should_parallelize_work(data.len(), estimated_ops);
-        self.chunks_mut_dispatch(data, chunk_size, go_parallel, f);
-    }
-
-    fn chunks_mut_dispatch<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk_size: usize,
-        go_parallel: bool,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
         assert!(chunk_size > 0, "par_chunks_mut: chunk_size must be > 0");
         let n_chunks = data.len().div_ceil(chunk_size);
-        if !go_parallel || n_chunks < 2 {
+        if !self.should_parallelize(data.len()) || n_chunks < 2 {
             for (c, chunk) in data.chunks_mut(chunk_size).enumerate() {
                 f(c, chunk);
             }
             return;
         }
+
         let f = &f;
         std::thread::scope(|s| {
             // Static round-robin-by-contiguous-run distribution: worker w
@@ -312,7 +216,6 @@ impl Pool {
             let workers = self.threads.min(n_chunks);
             let per = n_chunks.div_ceil(workers);
             let mut rest = data;
-            let mut base = 0usize;
             for w in 0..workers {
                 let take = (per * chunk_size).min(rest.len());
                 if take == 0 {
@@ -321,8 +224,6 @@ impl Pool {
                 let (mine, tail) = rest.split_at_mut(take);
                 rest = tail;
                 let first_chunk = w * per;
-                let _ = base;
-                base += take;
                 s.spawn(move || {
                     let _guard = WorkerGuard::enter();
                     for (k, chunk) in mine.chunks_mut(chunk_size).enumerate() {
@@ -481,51 +382,5 @@ mod tests {
         assert!(!p.should_parallelize(49));
         assert!(p.should_parallelize(50));
         assert!(!Pool::with_threads(1).should_parallelize(1_000_000));
-    }
-
-    #[test]
-    fn work_floor_gates_weighted_dispatch() {
-        let p = Pool::with_threads(8)
-            .with_serial_threshold(50)
-            .with_min_work(10_000);
-        // Many items but almost no arithmetic: stays serial.
-        assert!(!p.should_parallelize_work(1_000_000, 9_999));
-        // Enough items *and* enough work: parallel.
-        assert!(p.should_parallelize_work(1_000_000, 10_000));
-        // Item-count threshold still applies.
-        assert!(!p.should_parallelize_work(49, 1_000_000_000));
-        // Threshold 0 forces the parallel path regardless of the estimate.
-        let forced = p.with_serial_threshold(0);
-        assert!(forced.should_parallelize_work(2, 0));
-        assert!(!forced.should_parallelize_work(1, 1_000_000));
-        // One thread is always serial.
-        assert!(!Pool::with_threads(1)
-            .with_min_work(0)
-            .should_parallelize_work(1_000_000, 1_000_000_000));
-    }
-
-    #[test]
-    fn weighted_chunks_match_serial() {
-        for (threads, min_work) in [(1, 0), (4, 0), (4, usize::MAX)] {
-            let mut par: Vec<f64> = (0..311).map(|i| i as f64 * 0.3).collect();
-            let mut ser = par.clone();
-            let f = |c: usize, chunk: &mut [f64]| {
-                for v in chunk.iter_mut() {
-                    *v = v.cos() + c as f64;
-                }
-            };
-            Pool::with_threads(threads)
-                .with_serial_threshold(1)
-                .with_min_work(min_work)
-                .par_chunks_mut_weighted(&mut par, 7, 311, f);
-            for (c, chunk) in ser.chunks_mut(7).enumerate() {
-                f(c, chunk);
-            }
-            let same = par
-                .iter()
-                .zip(&ser)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "threads = {threads}, min_work = {min_work}");
-        }
     }
 }

@@ -60,9 +60,8 @@ pub fn marginalize_oldest(
 /// instead of panicking, letting the pipeline drop the prior and continue
 /// (see [`drop_oldest`] for the prior-free window shrink).
 ///
-/// Runs [`try_marginalize_oldest_in`] on a fresh workspace, so each call
-/// resolves one dispatch pool from the environment; the served pipeline
-/// passes its solver workspace instead.
+/// Runs [`try_marginalize_oldest_in`] on a fresh workspace; the served
+/// pipeline passes its solver workspace instead.
 ///
 /// # Panics
 ///
@@ -73,14 +72,11 @@ pub fn try_marginalize_oldest(
     weights: &FactorWeights,
     prior: Option<&Prior>,
 ) -> Result<MarginalizationResult, SolveError> {
-    let mut ws = SolverWorkspace::new();
-    ws.recalibrate();
-    try_marginalize_oldest_in(&mut ws, window, weights, prior)
+    try_marginalize_oldest_in(&mut SolverWorkspace::new(), window, weights, prior)
 }
 
 /// [`try_marginalize_oldest`] with its blocks, factor and products in `ws`'s
-/// reused buffers, dispatched on `ws`'s pool (resolved by its first solve;
-/// dispatch changes timing, never bits).
+/// reused buffers.
 ///
 /// # Panics
 ///
@@ -92,8 +88,7 @@ pub fn try_marginalize_oldest_in(
     prior: Option<&Prior>,
 ) -> Result<MarginalizationResult, SolveError> {
     counters::time(Phase::Marginalization, || {
-        let pool = ws.resolve_pool();
-        marginalize(ws.marg_scratch(), &pool, window, weights, prior)
+        marginalize(ws.marg_scratch(), window, weights, prior)
     })
 }
 
@@ -169,7 +164,6 @@ impl Blocks<'_> {
 
 fn marginalize(
     s: &mut MargScratch,
-    pool: &archytas_par::Pool,
     window: &SlidingWindow,
     weights: &FactorWeights,
     prior: Option<&Prior>,
@@ -316,15 +310,15 @@ fn marginalize(
     for i in 0..md {
         s.u.add_at(i, i, 1e-9);
     }
-    s.chol.refactor_with(&s.u, pool)?;
+    s.chol.refactor(&s.u)?;
     s.chol
         .inverse_skipping_zeros_into(&mut s.m_inv, &mut s.inverse);
     // The `expect`s are shape invariants of the blocks sized above.
-    s.w.try_mul_into(&s.m_inv, &mut s.w_m_inv, pool)
+    s.w.try_mul_into(&s.m_inv, &mut s.w_m_inv)
         .expect("marginal block shapes agree");
     s.w.transpose_into(&mut s.w_t);
     s.w_m_inv
-        .try_mul_into(&s.w_t, &mut s.prod, pool)
+        .try_mul_into(&s.w_t, &mut s.prod)
         .expect("marginal block shapes agree");
     for (v, &p) in s.v.as_mut_slice().iter_mut().zip(s.prod.as_slice()) {
         *v -= p;
@@ -334,7 +328,7 @@ fn marginalize(
     let rp = &by - &s.w.mat_vec(&s.m_inv.mat_vec(&bx));
 
     let lin_states = window.keyframes[1..].to_vec();
-    let new_prior = Prior::try_from_information_with(&s.v, &rp, lin_states, 1e-9, pool)?;
+    let new_prior = Prior::try_from_information(&s.v, &rp, lin_states, 1e-9)?;
 
     // --- shrink the window ---
     let window_out = shrink_window(window, &marg_landmarks);

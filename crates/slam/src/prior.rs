@@ -10,7 +10,6 @@
 use crate::solver::SolveError;
 use crate::window::{KeyframeState, SlidingWindow, STATE_DIM};
 use archytas_math::{Cholesky, DMat, DVec};
-use archytas_par::Pool;
 
 /// Prior over the keyframe states of a window, produced by marginalizing the
 /// previous window's oldest keyframe and its landmarks.
@@ -62,18 +61,6 @@ impl Prior {
         lin_states: Vec<KeyframeState>,
         epsilon: f64,
     ) -> Result<Self, SolveError> {
-        Self::try_from_information_with(hp, rp, lin_states, epsilon, &Pool::global())
-    }
-
-    /// [`Prior::try_from_information`] with its factorization and `JᵀJ`
-    /// dispatched on `pool` (dispatch changes timing, never bits).
-    pub(crate) fn try_from_information_with(
-        hp: &DMat,
-        rp: &DVec,
-        lin_states: Vec<KeyframeState>,
-        epsilon: f64,
-        pool: &Pool,
-    ) -> Result<Self, SolveError> {
         let dim = STATE_DIM * lin_states.len();
         assert_eq!(hp.rows(), dim, "prior: Hp dimension mismatch");
         assert_eq!(rp.len(), dim, "prior: rp dimension mismatch");
@@ -90,8 +77,8 @@ impl Prior {
             return Err(SolveError::NonFinite);
         }
         let chol = loop {
-            match Cholesky::factor_counting_with(&hp.add_diagonal(eps), pool) {
-                Ok((chol, _)) => break chol,
+            match Cholesky::factor(&hp.add_diagonal(eps)) {
+                Ok(chol) => break chol,
                 Err(e) => {
                     eps *= 100.0;
                     if eps > scale * 10.0 {
@@ -103,7 +90,7 @@ impl Prior {
         // J = Lᵀ, r0 chosen so that Jᵀ·r0 = −rp  ⇒  L·r0 = −rp.
         let residual0 = archytas_math::solve_lower(chol.l(), &(-rp));
         let jacobian = chol.into_lt();
-        let information = jacobian.gram_with(pool);
+        let information = jacobian.gram();
         Ok(Self {
             jacobian,
             residual0,

@@ -28,7 +28,6 @@ use archytas_math::{
     SchurSystem,
 };
 use archytas_par::counters::{self, Phase};
-use archytas_par::Pool;
 use std::fmt;
 
 /// Diagonal floor of the Marquardt damping `A + λ·max(diag(A), floor)`.
@@ -246,8 +245,8 @@ pub type LinearSolver<'a> = &'a dyn Fn(&DMat, &DVec, usize) -> Option<DVec>;
 /// Reusable buffers for the LM loop: the block-structured normal equations
 /// (f64, plus their f32 image for the single-precision step), the
 /// Schur-elimination scratch of both widths, the increment vector, the
-/// candidate window of the step-acceptance test, the marginalization's
-/// blocks ([`crate::try_marginalize_oldest_in`]), and the dispatch pool.
+/// candidate window of the step-acceptance test, and the marginalization's
+/// blocks ([`crate::try_marginalize_oldest_in`]).
 ///
 /// Allocate once and pass to [`solve_in_workspace`] or
 /// [`solve_f32_in_workspace`] for every window — all buffers grow to the
@@ -274,16 +273,6 @@ struct LinearBuffers {
     /// Damped dense normal matrix of the dense reference step; unused by
     /// the block-sparse steps.
     dense_damped: DMat,
-    /// Kernel dispatch policy, resolved on the first solve and kept for the
-    /// workspace's lifetime ([`Pool::calibrated`] reads the environment and
-    /// the cgroup CPU limits on every call).
-    pool: Option<Pool>,
-}
-
-impl LinearBuffers {
-    fn resolve_pool(&mut self) -> Pool {
-        *self.pool.get_or_insert_with(Pool::calibrated)
-    }
 }
 
 impl Default for SolverWorkspace {
@@ -301,33 +290,11 @@ impl SolverWorkspace {
                 scratch: SchurScratch::default(),
                 f32_stage: F32Stage::default(),
                 dense_damped: DMat::zeros(0, 0),
-                pool: None,
             },
             delta: DVec::zeros(0),
             candidate: SlidingWindow::new(),
             marg: MargScratch::default(),
         }
-    }
-
-    /// The pool this workspace's solves dispatch their kernels on: resolved
-    /// from the environment ([`Pool::calibrated`]) by the first solve and
-    /// kept for the workspace's lifetime. `None` before the first solve.
-    pub fn pool(&self) -> Option<Pool> {
-        self.lin.pool
-    }
-
-    /// Re-resolves the dispatch pool from the environment now, so later
-    /// solves follow a changed `ARCHYTAS_THREADS` / `ARCHYTAS_PAR_*`. The
-    /// workspace-less entry points ([`solve`], `archytas-dataset`'s
-    /// `optimize_and_slide`) call this before every solve. Dispatch changes
-    /// timing, never bits.
-    pub fn recalibrate(&mut self) {
-        self.lin.pool = Some(Pool::calibrated());
-    }
-
-    /// The dispatch pool, resolved now if no solve has resolved it yet.
-    pub(crate) fn resolve_pool(&mut self) -> Pool {
-        self.lin.resolve_pool()
     }
 
     pub(crate) fn marg_scratch(&mut self) -> &mut MargScratch {
@@ -345,9 +312,7 @@ impl SolverWorkspace {
 /// [`SolverWorkspace`], so repeated calls on one thread reuse the grown
 /// buffers instead of re-faulting ~1 MB of fresh pages per solve; callers
 /// who want explicit control of the buffers' lifetime should hold a
-/// workspace and call [`solve_in_workspace`]. The dispatch pool is read
-/// from the environment on every call ([`SolverWorkspace::recalibrate`]),
-/// while a held workspace resolves it once. Either way the result is
+/// workspace and call [`solve_in_workspace`]. Either way the result is
 /// bit-identical to the dense reference step ([`solve_with_in_workspace`]
 /// + [`schur_linear_solver`]): every buffer is fully overwritten before use.
 pub fn solve(
@@ -360,11 +325,7 @@ pub fn solve(
         static WS: std::cell::RefCell<SolverWorkspace> =
             std::cell::RefCell::new(SolverWorkspace::new());
     }
-    WS.with(|ws| {
-        let ws = &mut *ws.borrow_mut();
-        ws.recalibrate();
-        solve_in_workspace(ws, window, weights, prior, config)
-    })
+    WS.with(|ws| solve_in_workspace(&mut ws.borrow_mut(), window, weights, prior, config))
 }
 
 /// Solves the sliding-window MAP problem through the block-sparse normal
@@ -376,7 +337,7 @@ pub fn solve(
 /// is a reused buffer swapped in on accept rather than a fresh clone per
 /// retry. Every floating-point operation matches the dense reference step
 /// with [`schur_linear_solver`], so the report and the optimized window are
-/// bit-identical to it for any `ARCHYTAS_THREADS` setting.
+/// bit-identical to it.
 pub fn solve_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -397,7 +358,7 @@ pub fn solve_in_workspace(
 /// A failed or non-finite f32 solve counts as a failed factorization (the
 /// loop raises λ). The report and the optimized window are bit-identical to
 /// the dense f32 oracle — [`solve_with_in_workspace`] with `archytas_hw`'s
-/// `f32_linear_solver` — for any `ARCHYTAS_THREADS` setting.
+/// `f32_linear_solver`.
 pub fn solve_f32_in_workspace(
     ws: &mut SolverWorkspace,
     window: &mut SlidingWindow,
@@ -468,18 +429,16 @@ struct Dense<'a> {
 impl LinearStep for BlockF64 {
     fn solve(&mut self, lin: &mut LinearBuffers, lambda: f64, delta: &mut DVec) -> bool {
         counters::time(Phase::Damp, || lin.sys.damp(lambda, DAMP_FLOOR));
-        let pool = lin.resolve_pool();
-        lin.sys.solve_into(&mut lin.scratch, &pool, delta).is_ok()
+        lin.sys.solve_into(&mut lin.scratch, delta).is_ok()
     }
 }
 
 impl LinearStep for BlockF32 {
     fn solve(&mut self, lin: &mut LinearBuffers, lambda: f64, delta: &mut DVec) -> bool {
         counters::time(Phase::Damp, || lin.sys.damp(lambda, DAMP_FLOOR));
-        let pool = lin.resolve_pool();
         // `false` is the dense oracle's `None`: the datapath produced no
         // finite increment at this damping level.
-        lin.sys.solve_f32_into(&mut lin.f32_stage, &pool, delta)
+        lin.sys.solve_f32_into(&mut lin.f32_stage, delta)
     }
 }
 

@@ -199,18 +199,17 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     let mut sys = archytas_math::BlockSparseSystem::new();
     let mut scratch = archytas_math::SchurScratch::default();
     let mut delta = archytas_math::DVec::zeros(0);
-    let pool = archytas_par::Pool::global();
     let weights2 = FactorWeights::default();
     archytas_slam::build_block_normal_equations(&window, &weights2, None, &mut sys);
     sys.damp(1e-3, 1e-9);
-    sys.solve_into(&mut scratch, &pool, &mut delta).unwrap();
+    sys.solve_into(&mut scratch, &mut delta).unwrap();
 
     let mut direct_best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
         archytas_slam::build_block_normal_equations(&window, &weights2, None, &mut sys);
         sys.damp(1e-3, 1e-9);
-        sys.solve_into(&mut scratch, &pool, &mut delta).unwrap();
+        sys.solve_into(&mut scratch, &mut delta).unwrap();
         direct_best = direct_best.min(allocations() - before);
     }
     assert_eq!(
@@ -224,16 +223,12 @@ fn lm_iterations_allocate_nothing_after_warmup() {
     let mut scratch32 = archytas_math::SchurScratch::default();
     let mut delta32 = archytas_math::FVec::zeros(0);
     sys.cast_into(&mut sys32);
-    sys32
-        .solve_into(&mut scratch32, &pool, &mut delta32)
-        .unwrap();
+    sys32.solve_into(&mut scratch32, &mut delta32).unwrap();
     let mut cast_best = u64::MAX;
     for _ in 0..5 {
         let before = allocations();
         sys.cast_into(&mut sys32);
-        sys32
-            .solve_into(&mut scratch32, &pool, &mut delta32)
-            .unwrap();
+        sys32.solve_into(&mut scratch32, &mut delta32).unwrap();
         cast_best = cast_best.min(allocations() - before);
     }
     assert_eq!(

@@ -8,8 +8,8 @@
 #
 # Stage 2 — synthesizer: compares the `synthesizer/*` records of a freshly
 # generated BENCH_par.json against the committed copy under the same
-# tolerance (only the synthesizer records — the solver records in that file
-# are already gated through BENCH_solver.json), and additionally enforces
+# tolerance (only the synthesizer records; the solver records live in
+# BENCH_solver.json and are gated in stage 1), and additionally enforces
 # the re-synthesis latency ceilings the fleet re-optimization path relies
 # on (1-thread means):
 #   - cold virtex7 scaled-lattice sweep   <= 60 ms
